@@ -214,6 +214,7 @@ impl ConfigGenerator {
 
     /// Selects the promising attribute set `T` from the two tables.
     pub fn promising(&self, a: &Table, b: &Table) -> PromisingAttrs {
+        let _span = mc_obs::span!("mc.core.config.promising");
         let sa = TableStats::compute(a);
         let sb = TableStats::compute(b);
         self.promising_from_stats(a, &sa, &sb)
@@ -263,6 +264,7 @@ impl ConfigGenerator {
 
     /// Builds the config tree over the promising attributes.
     pub fn build_tree(&self, promising: &PromisingAttrs) -> ConfigTree {
+        let _span = mc_obs::span!("mc.core.config.tree");
         let m = promising.attrs.len();
         assert!(m >= 1, "need at least one promising attribute");
         let root = Config::full(m);

@@ -9,11 +9,14 @@
 //! amortizes. The [`DiagnosisKernel`] flips the loop inside out:
 //!
 //! 1. **Columnar value interning** — per attribute, one [`ValueDict`]
-//!    shared across tables A and B maps every raw value to a dense id,
-//!    so byte-equality becomes id-equality and each *distinct* value is
-//!    prepared (tokenized, normalized, sorted, abbreviation forms,
-//!    numeric parse) exactly once. On Zipfian data the distinct count is
-//!    a small fraction of the row count.
+//!    shared across tables A and B maps every raw value of the *covered*
+//!    rows (those the pairs to diagnose touch; see
+//!    [`DiagnosisKernel::build_for`]) to a dense id, so byte-equality
+//!    becomes id-equality and each *distinct* value is prepared
+//!    (tokenized, normalized, sorted, abbreviation forms, numeric parse)
+//!    exactly once. The build scales with the rows explained, not the
+//!    table size; on Zipfian data the distinct count is a small fraction
+//!    of even that.
 //! 2. **Sharded diagnosis cache** — per attribute, a sharded
 //!    `(id_a, id_b) → Diagnosis` map. Repeated value pairs (the common
 //!    case once heads of a Zipfian distribution collide across the
@@ -40,7 +43,7 @@ use mc_strsim::measures::{bounded_edit_distance_chars, EditScratch};
 use mc_table::hash::{hash_u64, FxHashMap, FxHashSet};
 use mc_table::{split_pair_key, AttrId, Table, TupleId};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 std::thread_local! {
@@ -571,10 +574,16 @@ impl AttrColumn {
     }
 }
 
+/// Column sentinel for a row the kernel did not intern — distinct from
+/// [`ValueDict::MISSING`], so touching an uncovered row is a loud
+/// contract violation instead of a silent [`Diagnosis::MissingBoth`].
+const UNCOVERED: u32 = ValueDict::MISSING - 1;
+
 /// One attribute's columnar state: value-id columns for both tables,
 /// prepared forms per distinct value, and the sharded diagnosis cache.
 struct AttrColumn {
-    /// Row → value id for table A ([`ValueDict::MISSING`] = `None`).
+    /// Row → value id for table A ([`ValueDict::MISSING`] = `None`,
+    /// [`UNCOVERED`] = row not interned).
     col_a: Vec<u32>,
     /// Row → value id for table B.
     col_b: Vec<u32>,
@@ -594,24 +603,33 @@ struct AttrColumn {
 }
 
 impl AttrColumn {
-    fn build<'t>(a: &'t Table, b: &'t Table, attr: AttrId) -> AttrColumn {
+    /// Interns and prepares the cells of `rows_a` / `rows_b` (sorted,
+    /// de-duplicated) only; every other row maps to [`UNCOVERED`].
+    fn build<'t>(
+        a: &'t Table,
+        b: &'t Table,
+        attr: AttrId,
+        rows_a: &[TupleId],
+        rows_b: &[TupleId],
+    ) -> AttrColumn {
         let mut vd = ValueDict::new();
         let mut raws: Vec<&'t str> = Vec::new();
         let mut intern_cell = |v: Option<&'t str>| -> u32 {
             let before = vd.len();
             let vid = vd.intern_opt(v);
             if vid != ValueDict::MISSING && vd.len() > before {
+                assert!(vid < UNCOVERED, "value dict overflow");
                 raws.push(v.unwrap());
             }
             vid
         };
-        let mut col_a = Vec::with_capacity(a.len());
-        for id in 0..a.len() as TupleId {
-            col_a.push(intern_cell(a.value(id, attr)));
+        let mut col_a = vec![UNCOVERED; a.len()];
+        for &id in rows_a {
+            col_a[id as usize] = intern_cell(a.value(id, attr));
         }
-        let mut col_b = Vec::with_capacity(b.len());
-        for id in 0..b.len() as TupleId {
-            col_b.push(intern_cell(b.value(id, attr)));
+        let mut col_b = vec![UNCOVERED; b.len()];
+        for &id in rows_b {
+            col_b[id as usize] = intern_cell(b.value(id, attr));
         }
         let mut interner: FxHashMap<String, u32> = FxHashMap::default();
         let mut scratch = PrepScratch::default();
@@ -638,6 +656,31 @@ impl AttrColumn {
         }
     }
 
+    /// Diagnoses row pair `(x, y)` on this attribute, counting a lookup
+    /// when both sides are present. Panics, naming the row, when either
+    /// row lies outside the rows the kernel was built over.
+    #[inline]
+    fn diagnose_rows(&self, x: TupleId, y: TupleId, lookups: &mut u64) -> Diagnosis {
+        let va = self.col_a[x as usize];
+        let vb = self.col_b[y as usize];
+        assert!(
+            va != UNCOVERED,
+            "row {x} of table A is outside the rows this DiagnosisKernel was built over"
+        );
+        assert!(
+            vb != UNCOVERED,
+            "row {y} of table B is outside the rows this DiagnosisKernel was built over"
+        );
+        match (va == ValueDict::MISSING, vb == ValueDict::MISSING) {
+            (true, true) => Diagnosis::MissingBoth,
+            (true, false) | (false, true) => Diagnosis::MissingOneSide,
+            _ => {
+                *lookups += 1;
+                self.diagnose_present(va, vb)
+            }
+        }
+    }
+
     /// Cached diagnosis for a cell with both sides present.
     fn diagnose_present(&self, va: u32, vb: u32) -> Diagnosis {
         if self.wide_ids {
@@ -659,7 +702,9 @@ impl AttrColumn {
 /// Deterministic cache statistics for one kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Distinct values interned across all attributes (both tables).
+    /// Distinct values interned across all attributes (both tables),
+    /// counted over the covered rows only — at most attributes ×
+    /// (covered rows of A + covered rows of B).
     pub distinct_values: u64,
     /// Cell diagnoses requested with both sides present. Deterministic:
     /// a pure function of the tables and the pair lists.
@@ -677,9 +722,13 @@ impl KernelStats {
     }
 }
 
-/// The batch diagnosis engine. Build once per `(A, B)` table pair, then
-/// run any number of batch explain / signature / pervasiveness passes
-/// against it; the diagnosis cache persists across calls.
+/// The batch diagnosis engine. Build once per `(A, B)` table pair and
+/// set of pairs to diagnose — [`DiagnosisKernel::build_for`] interns only
+/// the rows those pairs touch, [`DiagnosisKernel::build`] every row —
+/// then run any number of batch explain / signature / pervasiveness
+/// passes over pairs within the covered rows; the diagnosis cache
+/// persists across calls. Diagnosing a pair with an uncovered row
+/// panics.
 pub struct DiagnosisKernel {
     attrs: Vec<AttrId>,
     cols: Vec<AttrColumn>,
@@ -688,37 +737,90 @@ pub struct DiagnosisKernel {
 }
 
 impl DiagnosisKernel {
-    /// Interns and prepares every attribute column of `a` and `b`
-    /// (attributes split across `threads` scoped workers; `0` = all
-    /// cores).
+    /// Interns and prepares every attribute column of `a` and `b` over
+    /// all rows (attributes split across `threads` scoped workers; `0` =
+    /// all cores). Equivalent to [`DiagnosisKernel::build_for`] over the
+    /// full cross product.
     pub fn build(a: &Table, b: &Table, threads: usize) -> DiagnosisKernel {
+        let rows_a: Vec<TupleId> = (0..a.len() as TupleId).collect();
+        let rows_b: Vec<TupleId> = (0..b.len() as TupleId).collect();
+        Self::build_rows(a, b, &rows_a, &rows_b, threads)
+    }
+
+    /// Interns and prepares only the rows of `a` and `b` that `pairs`
+    /// touch, so the build costs O(rows touched × attributes) rather
+    /// than O(|A| + |B|). Any pair within those rows diagnoses exactly
+    /// as under [`DiagnosisKernel::build`]; a pair outside them panics.
+    /// Panics if a pair names a row past the end of its table.
+    pub fn build_for(
+        a: &Table,
+        b: &Table,
+        pairs: impl IntoIterator<Item = (TupleId, TupleId)>,
+        threads: usize,
+    ) -> DiagnosisKernel {
+        let mut hit_a = vec![false; a.len()];
+        let mut hit_b = vec![false; b.len()];
+        for (x, y) in pairs {
+            hit_a[x as usize] = true;
+            hit_b[y as usize] = true;
+        }
+        let rows = |hit: &[bool]| -> Vec<TupleId> {
+            (0..hit.len() as TupleId)
+                .filter(|&r| hit[r as usize])
+                .collect()
+        };
+        Self::build_rows(a, b, &rows(&hit_a), &rows(&hit_b), threads)
+    }
+
+    /// The one build path: every attribute column over the sorted,
+    /// de-duplicated `rows_a` / `rows_b`.
+    fn build_rows(
+        a: &Table,
+        b: &Table,
+        rows_a: &[TupleId],
+        rows_b: &[TupleId],
+        threads: usize,
+    ) -> DiagnosisKernel {
         let _span = mc_obs::span!("mc.core.explain.build");
         let attrs: Vec<AttrId> = a.schema().attr_ids().collect();
         let threads = resolve_threads(threads);
-        let mut slots: Vec<Option<AttrColumn>> = attrs.iter().map(|_| None).collect();
-        let workers = threads.min(attrs.len().max(1));
-        if workers <= 1 {
-            for (slot, &attr) in slots.iter_mut().zip(&attrs) {
-                *slot = Some(AttrColumn::build(a, b, attr));
+        // Workers claim attributes one at a time: column sizes are
+        // skewed (a name column can hold most of the distinct values),
+        // so a fixed split would leave one worker building two large
+        // columns while the other idles.
+        let next = AtomicUsize::new(0);
+        let claim = || -> Vec<(usize, AttrColumn)> {
+            let mut built = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&attr) = attrs.get(i) else {
+                    return built;
+                };
+                built.push((i, AttrColumn::build(a, b, attr, rows_a, rows_b)));
             }
+        };
+        let workers = threads.min(attrs.len().max(1));
+        let mut built: Vec<(usize, AttrColumn)> = if workers <= 1 {
+            claim()
         } else {
-            let mut jobs: Vec<(AttrId, &mut Option<AttrColumn>)> =
-                attrs.iter().copied().zip(slots.iter_mut()).collect();
-            let per = jobs.len().div_ceil(workers);
             let obs = mc_obs::ObsContext::current();
             std::thread::scope(|s| {
-                for group in jobs.chunks_mut(per) {
-                    let obs = &obs;
-                    s.spawn(move || {
-                        let _obs = obs.attach();
-                        for (attr, slot) in group.iter_mut() {
-                            **slot = Some(AttrColumn::build(a, b, *attr));
-                        }
-                    });
-                }
-            });
-        }
-        let cols: Vec<AttrColumn> = slots.into_iter().map(|c| c.unwrap()).collect();
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| {
+                        s.spawn(|| {
+                            let _obs = obs.attach();
+                            claim()
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("attribute build worker panicked"))
+                    .collect()
+            })
+        };
+        built.sort_unstable_by_key(|&(i, _)| i);
+        let cols: Vec<AttrColumn> = built.into_iter().map(|(_, col)| col).collect();
         let distinct: u64 = cols.iter().map(|c| c.values.len() as u64).sum();
         mc_obs::counter!("mc.core.explain.values_interned").add(distinct);
         DiagnosisKernel {
@@ -737,22 +839,10 @@ impl DiagnosisKernel {
             .attrs
             .iter()
             .zip(&self.cols)
-            .map(|(&attr, col)| (attr, self.cell(col, aid, bid, &mut lookups)))
+            .map(|(&attr, col)| (attr, col.diagnose_rows(aid, bid, &mut lookups)))
             .collect();
         self.lookups.fetch_add(lookups, Ordering::Relaxed);
         out
-    }
-
-    fn cell(&self, col: &AttrColumn, aid: TupleId, bid: TupleId, lookups: &mut u64) -> Diagnosis {
-        let va = col.col_a[aid as usize];
-        let vb = col.col_b[bid as usize];
-        match (va == ValueDict::MISSING, vb == ValueDict::MISSING) {
-            (true, true) => return Diagnosis::MissingBoth,
-            (true, false) | (false, true) => return Diagnosis::MissingOneSide,
-            _ => {}
-        }
-        *lookups += 1;
-        col.diagnose_present(va, vb)
     }
 
     /// Explains every pair (one [`MatchExplanation`] each, in input
@@ -777,7 +867,7 @@ impl DiagnosisKernel {
         let mut lookups = 0u64;
         let mut problems = Vec::new();
         for (&attr, col) in self.attrs.iter().zip(&self.cols) {
-            let d = self.cell(col, x, y, &mut lookups);
+            let d = col.diagnose_rows(x, y, &mut lookups);
             if let Some(c) = ProblemClass::from_diagnosis(d) {
                 problems.push((attr, c));
             }
@@ -800,7 +890,7 @@ impl DiagnosisKernel {
         let mut lookups = 0u64;
         let mut packed = 0u64;
         for (i, col) in self.cols.iter().enumerate() {
-            let d = self.cell(col, x, y, &mut lookups);
+            let d = col.diagnose_rows(x, y, &mut lookups);
             if let Some(c) = ProblemClass::from_diagnosis(d) {
                 packed |= (c as u64 + 1) << (4 * i);
             }
@@ -823,16 +913,7 @@ impl DiagnosisKernel {
             for (i, col) in self.cols.iter().enumerate() {
                 let shift = 4 * i as u32;
                 for (&(x, y), slot) in chunk.iter().zip(out.iter_mut()) {
-                    let va = col.col_a[x as usize];
-                    let vb = col.col_b[y as usize];
-                    let d = match (va == ValueDict::MISSING, vb == ValueDict::MISSING) {
-                        (true, true) => Diagnosis::MissingBoth,
-                        (true, false) | (false, true) => Diagnosis::MissingOneSide,
-                        _ => {
-                            lookups += 1;
-                            col.diagnose_present(va, vb)
-                        }
-                    };
+                    let d = col.diagnose_rows(x, y, &mut lookups);
                     if let Some(c) = ProblemClass::from_diagnosis(d) {
                         *slot |= (c as u64 + 1) << shift;
                     }
@@ -1068,11 +1149,11 @@ pub struct ExplainOutput {
     pub config_floors: Vec<Option<f64>>,
 }
 
-/// Runs the full batch explain stage: builds a [`DiagnosisKernel`],
-/// explains every confirmed match, summarizes problems, clusters the
-/// union by pervasiveness and extracts per-config score context.
-/// `matches` are pair keys from the verifier, `threads` as in
-/// [`DiagnosisKernel::build`].
+/// Runs the full batch explain stage: builds a [`DiagnosisKernel`] over
+/// the rows of `union ∪ matches` only, explains every confirmed match,
+/// summarizes problems, clusters the union by pervasiveness and extracts
+/// per-config score context. `matches` are pair keys from the verifier,
+/// `threads` as in [`DiagnosisKernel::build`].
 pub fn explain_stage(
     a: &Table,
     b: &Table,
@@ -1080,8 +1161,17 @@ pub fn explain_stage(
     matches: &[u64],
     threads: usize,
 ) -> ExplainOutput {
-    let kernel = DiagnosisKernel::build(a, b, threads);
     let confirmed: Vec<(TupleId, TupleId)> = matches.iter().map(|&k| split_pair_key(k)).collect();
+    let kernel = DiagnosisKernel::build_for(
+        a,
+        b,
+        union
+            .pairs
+            .iter()
+            .map(|&k| split_pair_key(k))
+            .chain(confirmed.iter().copied()),
+        threads,
+    );
     let explanations = kernel.explain_pairs(&confirmed);
     let problems = summarize_problems(&explanations, a.schema());
     let pervasive = kernel.pervasiveness(union, &confirmed);

@@ -214,11 +214,20 @@ impl MatchCatcher {
         let baseline = MetricsSnapshot::capture();
         let (stats_a, stats_b, promising, tree) = {
             let _span = mc_obs::Span::enter(Stage::Prepare.span_name());
-            let stats_a = IncrTableStats::compute(&a);
-            let stats_b = IncrTableStats::compute(&b);
             let generator = ConfigGenerator::new(params.config);
-            let promising =
-                generator.promising_from_stats(&a, &stats_a.snapshot(&a), &stats_b.snapshot(&b));
+            let (stats_a, stats_b, promising) = {
+                // The session's counterpart of `ConfigGenerator::promising`,
+                // keeping the incremental stats it computes on the way.
+                let _span = mc_obs::span!("mc.core.config.promising");
+                let stats_a = IncrTableStats::compute(&a);
+                let stats_b = IncrTableStats::compute(&b);
+                let promising = generator.promising_from_stats(
+                    &a,
+                    &stats_a.snapshot(&a),
+                    &stats_b.snapshot(&b),
+                );
+                (stats_a, stats_b, promising)
+            };
             assert!(
                 !promising.attrs.is_empty(),
                 "no promising attributes — tables have no usable string/categorical columns"

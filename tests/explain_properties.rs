@@ -7,17 +7,26 @@
 //! `pervasive::similar_pairs`). These tests draw tables from a value
 //! pool engineered to hit every [`Diagnosis`] class — including unicode
 //! lowercase expansion and trim-empty edge cases — and compare the two
-//! paths cell by cell across seeds and thread counts. A final test
-//! drives the `explain`/`pervade` verbs over a live daemon and checks
-//! the `mc-explain/v1` payload against the session's own report.
+//! paths cell by cell across seeds and thread counts. A kernel built
+//! over the rows a pair list touches (`DiagnosisKernel::build_for`, the
+//! pipeline's build) must match the all-rows build exactly, refuse rows
+//! outside its cover, and keep a session's interning proportional to
+//! `union ∪ confirmed`. A final test drives the `explain`/`pervade`
+//! verbs over a live daemon and checks the `mc-explain/v1` payload
+//! against the session's own report.
 
+use matchcatcher::debugger::{DebugReport, DebuggerParams, MatchCatcher};
 use matchcatcher::explain::{explain_match, Diagnosis};
-use matchcatcher::joint::CandidateUnion;
+use matchcatcher::joint::{CandidateUnion, QStrategy};
+use matchcatcher::oracle::GoldOracle;
 use matchcatcher::pervasive;
-use matchcatcher::DiagnosisKernel;
-use mc_obs::JsonValue;
+use matchcatcher::{DebugSession, DiagnosisKernel};
+use mc_blocking::{Blocker, KeyFunc};
+use mc_datagen::delta::perturb_killed;
+use mc_datagen::profiles::DatasetProfile;
+use mc_obs::{JsonValue, ObsContext};
 use mc_serve::{Client, Daemon, ServeParams};
-use mc_table::{pair_key, Schema, Table, Tuple, TupleId};
+use mc_table::{pair_key, split_pair_key, AttrId, Schema, Table, TableDelta, Tuple, TupleId};
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
 use std::collections::HashSet;
@@ -154,7 +163,7 @@ fn batch_pervasiveness_and_similar_pairs_equal_slow_path() {
             .pairs
             .iter()
             .step_by(17)
-            .map(|&k| mc_table::split_pair_key(k))
+            .map(|&k| split_pair_key(k))
             .collect();
 
         let kernel = DiagnosisKernel::build(&a, &b, 3);
@@ -175,6 +184,156 @@ fn batch_pervasiveness_and_similar_pairs_equal_slow_path() {
             );
         }
     }
+}
+
+/// Distinct A rows and distinct B rows that `pairs` touch.
+fn covered_rows(pairs: &[(TupleId, TupleId)]) -> (usize, usize) {
+    let a: HashSet<TupleId> = pairs.iter().map(|p| p.0).collect();
+    let b: HashSet<TupleId> = pairs.iter().map(|p| p.1).collect();
+    (a.len(), b.len())
+}
+
+#[test]
+fn build_for_matches_full_build_on_random_pair_subsets() {
+    let schema = Arc::new(Schema::from_names(["name", "city", "age"]));
+    for seed in [1u64, 42, 0xfeed] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a = random_table("A", &schema, 30, &mut rng);
+        let b = random_table("B", &schema, 30, &mut rng);
+        // Sparse enough that many rows stay outside the cover.
+        let union = random_union(a.len(), b.len(), 0.03, &mut rng);
+        let confirmed: Vec<(TupleId, TupleId)> = union
+            .pairs
+            .iter()
+            .step_by(4)
+            .map(|&k| split_pair_key(k))
+            .collect();
+        let pairs: Vec<(TupleId, TupleId)> =
+            union.pairs.iter().map(|&k| split_pair_key(k)).collect();
+        let (rows_a, rows_b) = covered_rows(&pairs);
+        assert!(
+            rows_a < a.len() && rows_b < b.len(),
+            "seed {seed}: the subset must leave rows uncovered"
+        );
+        for threads in [1usize, 4] {
+            let full = DiagnosisKernel::build(&a, &b, threads);
+            let part = DiagnosisKernel::build_for(&a, &b, pairs.iter().copied(), threads);
+            let explained = |k: &DiagnosisKernel| -> Vec<_> {
+                k.explain_pairs(&confirmed)
+                    .into_iter()
+                    .map(|e| (e.pair, e.per_attr))
+                    .collect()
+            };
+            assert_eq!(
+                explained(&part),
+                explained(&full),
+                "seed {seed} threads {threads}: explain_pairs diverges"
+            );
+            let (pp, fp) = (
+                part.pervasiveness(&union, &confirmed),
+                full.pervasiveness(&union, &confirmed),
+            );
+            assert_eq!(pp.len(), fp.len(), "seed {seed} threads {threads}");
+            for (p, f) in pp.iter().zip(&fp) {
+                assert_eq!(p.signature, f.signature, "seed {seed} threads {threads}");
+                assert_eq!(p.pairs, f.pairs, "seed {seed} threads {threads}");
+                assert_eq!(p.confirmed, f.confirmed, "seed {seed} threads {threads}");
+            }
+            for &m in confirmed.iter().take(3) {
+                assert_eq!(
+                    part.similar_pairs(&union, m),
+                    full.similar_pairs(&union, m),
+                    "seed {seed} threads {threads}: similar_pairs({m:?}) diverges"
+                );
+            }
+            let (ps, fs) = (part.stats(), full.stats());
+            assert_eq!(ps.lookups, fs.lookups, "seed {seed} threads {threads}");
+            assert_eq!(
+                ps.cache_entries, fs.cache_entries,
+                "seed {seed} threads {threads}"
+            );
+            assert!(
+                ps.distinct_values <= (schema.len() * (rows_a + rows_b)) as u64,
+                "seed {seed} threads {threads}: {} values interned for {rows_a}+{rows_b} rows",
+                ps.distinct_values
+            );
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "outside the rows this DiagnosisKernel was built over")]
+fn diagnosing_an_uncovered_row_panics() {
+    let schema = Arc::new(Schema::from_names(["name", "city"]));
+    let mut a = Table::new("A", Arc::clone(&schema));
+    let mut b = Table::new("B", Arc::clone(&schema));
+    for _ in 0..3 {
+        // Both cells missing: a silent fallback would say MissingBoth.
+        a.push(Tuple::new(vec![None, None]));
+        b.push(Tuple::new(vec![None, None]));
+    }
+    let kernel = DiagnosisKernel::build_for(&a, &b, [(0, 0), (1, 1)], 1);
+    assert_eq!(kernel.diagnose_pair(1, 0)[0].1, Diagnosis::MissingBoth);
+    kernel.diagnose_pair(2, 0);
+}
+
+/// Checks one session report's explain build against the rows of its
+/// own `union ∪ confirmed`, rebuilt through the one-shot stages with
+/// the session's normalized parameters.
+fn assert_interning_proportional(session: &DebugSession, report: &DebugReport, what: &str) {
+    let mc = MatchCatcher::new(session.params().clone());
+    let (a, b) = (session.table_a(), session.table_b());
+    let prepared = mc.prepare(a, b);
+    let union = CandidateUnion::build(&mc.topk(&prepared, session.killed()).lists);
+    assert_eq!(union.len(), report.e_size, "{what}: rebuilt union diverges");
+    let mut pairs: Vec<(TupleId, TupleId)> =
+        union.pairs.iter().map(|&k| split_pair_key(k)).collect();
+    pairs.extend_from_slice(&report.confirmed_matches);
+    let (rows_a, rows_b) = covered_rows(&pairs);
+    let bound = (a.schema().len() * (rows_a + rows_b)) as u64;
+    let interned = report.metrics.counter("mc.core.explain.values_interned");
+    assert!(interned > 0, "{what}: the explain stage interned nothing");
+    assert!(
+        interned <= bound,
+        "{what}: {interned} values interned for {rows_a}+{rows_b} rows of union ∪ confirmed \
+         (bound {bound})"
+    );
+    // The bound must be tight enough to catch full-table interning.
+    let full = DiagnosisKernel::build(a, b, 1).stats().distinct_values;
+    assert!(bound < full, "{what}: bound {bound} ≥ full-table {full}");
+}
+
+#[test]
+fn session_explain_interning_is_proportional_to_pairs_explained() {
+    let ds = DatasetProfile::ZipfScale.generate_scaled(7, 0.01);
+    let killed = Blocker::Hash(KeyFunc::Attr(AttrId(0))).apply(&ds.a, &ds.b);
+    let mut params = DebuggerParams::small();
+    params.joint.k = 20;
+    params.joint.q = QStrategy::Fixed(1);
+    params.obs = ObsContext::session();
+    let mc = MatchCatcher::new(params);
+    let mut oracle = GoldOracle::exact(&ds.gold);
+    let (mut session, start) = mc.start_session(ds.a, ds.b, killed, &mut oracle);
+    assert_interning_proportional(&session, &start, "start_session");
+
+    let mut rng = StdRng::seed_from_u64(0x9e0);
+    let nk = perturb_killed(
+        session.killed(),
+        session.table_a().len() as u32,
+        session.table_b().len() as u32,
+        0.02,
+        session.killed().len() / 50 + 1,
+        &mut rng,
+    );
+    let rerun = session
+        .rerun(
+            &TableDelta::new(),
+            &TableDelta::new(),
+            Some(nk),
+            &mut oracle,
+        )
+        .expect("killed-only rerun");
+    assert_interning_proportional(&session, &rerun, "killed-only rerun");
 }
 
 fn obj(members: Vec<(&str, JsonValue)>) -> JsonValue {

@@ -17,7 +17,7 @@ use matchcatcher::verify::IterationRecord;
 use mc_blocking::{Blocker, KeyFunc};
 use mc_datagen::delta::{perturb_killed, random_delta, DeltaSpec};
 use mc_datagen::profiles::DatasetProfile;
-use mc_obs::MetricsSnapshot;
+use mc_obs::{MetricsSnapshot, ObsContext};
 use mc_strsim::measures::SetMeasure;
 use mc_table::{AttrId, GoldMatches, PairSet, Table, TableDelta, TupleId};
 use rand::rngs::StdRng;
@@ -138,7 +138,11 @@ fn incremental_matches_cold_q2() {
 #[test]
 fn killed_only_diff_reuses_joins() {
     let (a, b, killed, gold) = fixture(9);
-    let mc = MatchCatcher::new(session_params(SetMeasure::Jaccard, 1, 1));
+    let mut params = session_params(SetMeasure::Jaccard, 1, 1);
+    // A context of its own, so reruns of the tests running alongside in
+    // this binary cannot leak into the exact counter checks below.
+    params.obs = ObsContext::session();
+    let mc = MatchCatcher::new(params);
     let mut oracle = GoldOracle::exact(&gold);
     let (mut session, _) = mc.start_session(a, b, killed, &mut oracle);
 
@@ -151,7 +155,6 @@ fn killed_only_diff_reuses_joins() {
         10,
         &mut rng,
     );
-    let before = MetricsSnapshot::capture();
     let incr = session
         .rerun(
             &TableDelta::new(),
@@ -160,7 +163,7 @@ fn killed_only_diff_reuses_joins() {
             &mut oracle,
         )
         .unwrap();
-    let delta = MetricsSnapshot::capture().since(&before);
+    let delta = &incr.metrics;
     assert!(
         delta.counter("mc.core.incr.killed_fast_path") > 0,
         "killed-only diff must take the fast path"
