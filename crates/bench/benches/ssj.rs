@@ -88,7 +88,7 @@ fn bench_joint_vs_individual(c: &mut Criterion) {
             black_box(out.lists.len())
         })
     });
-    group.bench_function("joint_reuse_parallel", |b| {
+    group.bench_function("joint_parallel", |b| {
         b.iter(|| {
             let out = run_joint(
                 &ta,
@@ -97,7 +97,6 @@ fn bench_joint_vs_individual(c: &mut Criterion) {
                 &tree,
                 JointParams {
                     k: 100,
-                    reuse_min_avg_tokens: 0.0,
                     ..Default::default()
                 },
             );

@@ -10,9 +10,8 @@
 //!   the bitmap popcount kernel: configs run sequentially, each join
 //!   split across workers.
 //!
-//! Both variants run with the overlap database off (sharding forces it
-//! off, so the single-shard variant disables it too — the comparison is
-//! kernel + schedule, not reuse) and the same `--threads` budget.
+//! Both variants run with the same `--threads` budget, so the
+//! comparison is kernel + schedule.
 //!
 //! Two speedups are reported, both from measured times only:
 //!
@@ -80,9 +79,6 @@ fn params_for(k: usize, threads: usize, shards: usize, kernel: SsjKernel) -> Joi
         k,
         shards,
         kernel,
-        // Equal footing: sharding forces the overlap database off, so the
-        // single-shard reference runs without it too.
-        reuse_overlaps: false,
         // The committed baseline's work counters and the shard-identity
         // sweep must see the *requested* shard counts on every machine,
         // including boxes with fewer cores than shards.

@@ -60,16 +60,13 @@
 //!
 //! Sessions **require** a fixed QJoin `q` ([`QStrategy::Fixed`]): `Auto`
 //! re-selects `q` from prelude-join costs, which the patched state
-//! cannot reproduce bit-identically. The overlap database is likewise
-//! forced off (`reuse_overlaps = false`) — its decomposed-score
-//! approximation depends on which pairs a writer config scored, which
-//! differs between a cold and an incremental execution. Parent→child
-//! top-k seeding is forced off too (`reuse_topk = false`): seeds are
-//! inserted into a child's list verbatim, so with `q > 1` a parent can
-//! leak pairs below the child's q-overlap floor into its list — pairs no
-//! q-join over the child's own universe can rediscover, which makes each
-//! list depend on the whole ancestor chain instead of being the top-K of
-//! one config's candidate universe. With both knobs off, every list is a
+//! cannot reproduce bit-identically. Parent→child top-k seeding is
+//! forced off (`reuse_topk = false`): seeds are inserted into a child's
+//! list verbatim, so with `q > 1` a parent can leak pairs below the
+//! child's q-overlap floor into its list — pairs no q-join over the
+//! child's own universe can rediscover, which makes each list depend on
+//! the whole ancestor chain instead of being the top-K of one config's
+//! candidate universe. With seeding off, every list is a
 //! pure function of (arena contents, killed set, `k`, `q`, measure) —
 //! the property all of the maintenance above relies on.
 //!
@@ -176,7 +173,7 @@ impl MatchCatcher {
     /// plus the first [`DebugReport`].
     ///
     /// The session normalizes parameters for incremental exactness:
-    /// `reuse_overlaps` is forced off, and a [`QStrategy::Auto`] `q` is
+    /// `reuse_topk` is forced off, and a [`QStrategy::Auto`] `q` is
     /// rejected (panic) — fix `q` explicitly for sessions. The returned
     /// report is byte-identical (metrics aside) to [`MatchCatcher::run`]
     /// with the same normalized parameters.
@@ -199,11 +196,6 @@ impl MatchCatcher {
             ),
         };
         params.joint.q = QStrategy::Fixed(q);
-        // The overlap DB's decomposed-score approximation depends on
-        // which pairs each writer scored — execution-order state no
-        // incremental rerun can reproduce. Off, every score comes from
-        // the one exact kernel.
-        params.joint.reuse_overlaps = false;
         // Parent→child seeding inserts parent pairs verbatim, letting
         // sub-q-overlap pairs leak into a child's list (see the module
         // docs); each list must be the top-K of its own config's
@@ -900,7 +892,6 @@ mod tests {
         let (a, b, killed, gold) = fixture();
         let mc = MatchCatcher::new(params());
         let mut normalized = params();
-        normalized.joint.reuse_overlaps = false;
         normalized.joint.reuse_topk = false;
         let cold =
             MatchCatcher::new(normalized).run(&a, &b, &killed, &mut GoldOracle::exact(&gold));

@@ -670,8 +670,8 @@ pub struct JoinScratch {
     /// Pairs the most recent join actually scored (completed merges that
     /// produced a fresh score, cache hits and aborts excluded).
     scored: u64,
-    /// Scoring attempts the most recent join served from a cache
-    /// (score cache or overlap database) without a fresh merge.
+    /// Scoring attempts the most recent join served from the score
+    /// cache without a fresh merge.
     cache_served: u64,
     /// [`topk_semi_join`] pair state, indexed by post-side record id:
     /// the probe generation that last touched the pair and its

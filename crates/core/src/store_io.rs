@@ -99,18 +99,18 @@ pub fn arena_key(tok: Digest, side: u8, positions: &[usize]) -> Digest {
 }
 
 /// Key of the joint stage's candidate union. Covers everything that can
-/// change the union — tree shape, `k`, measure, `q` strategy, the reuse
-/// knobs, and the killed set — but **not** the thread count (the joint
-/// stage is bit-deterministic across thread counts).
+/// change the union — tree shape, `k`, measure, `q` strategy, top-k
+/// seeding, and the killed set — but **not** the thread count, shard
+/// count or kernel (the joint stage is bit-identical across all three).
 pub fn union_key(tok: Digest, tree: &ConfigTree, params: &JointParams, killed: &PairSet) -> Digest {
     let mut w = DigestWriter::new();
-    w.write_str("mc-store/union/v1");
+    w.write_str("mc-store/union/v2");
     w.write_digest(tok);
     let configs = tree.configs();
     w.write_u64(configs.len() as u64);
     for (i, c) in configs.iter().enumerate() {
         w.write_u32(c.mask());
-        // Parent links matter: they decide seeding and overlap reuse.
+        // Parent links matter: they decide seeding.
         w.write_u32(tree.parent(i).map_or(u32::MAX, |p| p as u32));
     }
     w.write_u64(params.k as u64);
@@ -127,15 +127,7 @@ pub fn union_key(tok: Digest, tree: &ConfigTree, params: &JointParams, killed: &
             w.write_u64(prelude_k as u64);
         }
     }
-    // Shard count and kernel are result-neutral (the sharded join is
-    // bit-identical at every shard count, and both kernels compute the
-    // same exact overlaps) — except that sharding forces the overlap
-    // database off. Key on the *effective* reuse flag so a sharded run
-    // shares its slot with an unsharded reuse-off run (their unions are
-    // bit-identical) and never aliases a reuse-on one.
-    w.write_u8((params.reuse_overlaps && params.shards <= 1) as u8);
     w.write_u8(params.reuse_topk as u8);
-    w.write_f64(params.reuse_min_avg_tokens);
     // `PairSet` iterates in hash order; fold through the
     // order-independent set digest so every iteration order keys alike.
     w.write_digest(digest_u64_set(killed.iter().map(|(a, b)| pair_key(a, b))));
@@ -687,6 +679,13 @@ mod tests {
         let k1 = union_key(tok, &tree, &p, &killed);
         p.threads = 8;
         assert_eq!(k1, union_key(tok, &tree, &p, &killed), "threads excluded");
+        p.shards = 4;
+        p.kernel = crate::joint::SsjKernel::bitmap();
+        assert_eq!(
+            k1,
+            union_key(tok, &tree, &p, &killed),
+            "shards and kernel excluded"
+        );
         p.k += 1;
         assert_ne!(k1, union_key(tok, &tree, &p, &killed), "k separates");
         p.k -= 1;

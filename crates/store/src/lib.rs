@@ -8,9 +8,9 @@
 //!
 //! The debugger is iterative: the user inspects `D`, edits the blocker,
 //! and re-runs. Within one process run §4.2's joint execution already
-//! reuses overlaps and top-k lists, but every *new* process run rebuilds
-//! tokenized tables, dictionaries, per-config arenas, and the candidate
-//! union from raw CSVs. This crate persists those intermediates:
+//! seeds child top-k lists from their parents, but every *new* process
+//! run rebuilds tokenized tables, dictionaries, per-config arenas, and
+//! the candidate union from raw CSVs. This crate persists those intermediates:
 //!
 //! * artifacts are **content-addressed** — the key is a stable
 //!   [`mc_table::Digest`] over the inputs that determine the artifact

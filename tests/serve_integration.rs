@@ -51,8 +51,7 @@ fn fixture() -> (Table, Table, PairSet, GoldMatches) {
 fn reference_params() -> DebuggerParams {
     let mut p = DebuggerParams::small();
     p.joint.q = QStrategy::Fixed(1);
-    // Sessions normalize these off for incremental exactness.
-    p.joint.reuse_overlaps = false;
+    // Sessions normalize seeding off for incremental exactness.
     p.joint.reuse_topk = false;
     p
 }
