@@ -1,48 +1,36 @@
 //! Scale-out SSJ baseline: runs the joint top-k execution on the
 //! synthetic `zipf-scale` profile (60K × 60K records at scale 1.0,
-//! heavy-tailed token distribution) in two configurations and writes
+//! heavy-tailed token distribution) in two schedules and writes
 //! `BENCH_scale.json`:
 //!
-//! * `single_scalar` — `shards = 1`, scalar merge+gallop kernel: the
-//!   paper's one-config-per-core schedule, where the root config's join
-//!   runs on a single thread;
-//! * `sharded_simd` — `--shards` record-range shards (default 8) with
-//!   the bitmap popcount kernel: configs run sequentially, each join
-//!   split across workers.
+//! * `single` — `shards = 1`: the paper's one-config-per-core schedule,
+//!   where the root config's join runs on a single thread;
+//! * `sharded` — `--shards` record-range shards (default: the core
+//!   count): configs run sequentially, each join split across workers.
 //!
-//! Both variants run with the same `--threads` budget, so the
-//! comparison is kernel + schedule.
-//!
-//! Two speedups are reported, both from measured times only:
-//!
-//! * `speedup.joint_wall` — single-shard joint time over sharded joint
-//!   time as wall-clocked on this machine. On a box with fewer cores
-//!   than shards the workers serialize, so this can be < 1.
-//! * `speedup.joint_critical_path` — single-shard joint time over the
-//!   sharded variant's `stages.critical_us`, where every sharded stage
-//!   is collapsed to its slowest shard's measured busy time. This is
-//!   the sharded wall clock once `threads >= shards`; it is
-//!   conservative, because each shard's busy time is measured while the
-//!   shards run back-to-back and therefore sees no cross-shard pruning
-//!   help from concurrently running peers.
+//! Both variants score with the one exact kernel under the same
+//! `--threads` budget, so the comparison is the schedule alone. The
+//! headline `speedup.joint_wall` is single-shard joint time over sharded
+//! joint time, both wall-clocked on this machine (`cores` in the JSON);
+//! with more shards than cores the workers serialize, so it can be < 1.
 //!
 //! The binary also verifies the sharding determinism contract on every
-//! run: the bitmap-kernel execution at shard counts {1, 4, `--shards`}
-//! must produce `sorted_entries()` bit-identical to the single-shard
-//! scalar reference for every config. A mismatch aborts with exit code 1
-//! — in CI the smoke run doubles as the identity gate.
+//! run: shard counts {1, 4, `--shards`} must produce `sorted_entries()`
+//! bit-identical to the single-shard reference for every config. A
+//! mismatch aborts with exit code 1 — in CI the smoke run doubles as the
+//! identity gate.
 //!
 //! `MC_BENCH_SMOKE=1` shrinks the defaults to `--scale 0.02 --runs 1`
-//! for CI; explicit flags still override. With `--min-speedup X` the run
-//! exits non-zero unless `speedup.joint_critical_path >= X` (used when
-//! regenerating the committed full-scale baseline, not in smoke CI).
+//! and pins `--shards 8`, so the committed smoke work counters do not
+//! depend on the machine; explicit flags still override. `--sweep`
+//! appends a diagnostic table of single-repetition joint wall times at
+//! shard counts {1, 2, 4, 8}.
 //!
 //! `cargo run --release -p mc-bench --bin scale_baseline [--scale X]
-//!  [--runs N] [--threads N] [--shards N] [--k N] [--out PATH]
-//!  [--min-speedup X]`
+//!  [--runs N] [--threads N] [--shards N] [--k N] [--out PATH] [--sweep]`
 
 use matchcatcher::config::{ConfigGenerator, ConfigTree};
-use matchcatcher::joint::{run_joint, CandidateUnion, JointParams, SsjKernel};
+use matchcatcher::joint::{run_joint, CandidateUnion, JointParams};
 use mc_bench::alloc::AllocStats;
 use mc_bench::env::BenchEnv;
 use mc_datagen::profiles::DatasetProfile;
@@ -60,25 +48,19 @@ type Entries = Vec<Vec<(f64, u64)>>;
 struct VariantReport {
     name: &'static str,
     shards: usize,
-    kernel: &'static str,
     candidates: usize,
     joint_us: u64,
     config_us: u64,
-    /// Joint time with each sharded stage collapsed to its slowest
-    /// shard's busy time — the wall clock once `threads >= shards`.
-    /// Equals `joint_us` for unsharded variants.
-    critical_us: u64,
     events: u64,
     scored: u64,
     dense_fallbacks: u64,
     allocs: AllocStats,
 }
 
-fn params_for(k: usize, threads: usize, shards: usize, kernel: SsjKernel) -> JointParams {
+fn params_for(k: usize, threads: usize, shards: usize) -> JointParams {
     let mut params = JointParams {
         k,
         shards,
-        kernel,
         // The committed baseline's work counters and the shard-identity
         // sweep must see the *requested* shard counts on every machine,
         // including boxes with fewer cores than shards.
@@ -126,25 +108,12 @@ fn run_variant(
     if std::env::var("MC_BENCH_DUMP").is_ok_and(|v| v == "1") {
         eprintln!("--- {name} best-run metrics ---\n{}", delta.render());
     }
-    // Parallel critical path: replace every sharded stage's sequential
-    // time with its slowest shard's busy time (both measured — see
-    // `mc.core.ssj.shard_critical_us`). On a machine with fewer cores
-    // than shards the workers serialize, so `joint_us` carries the full
-    // per-shard sum while this is the wall clock at `threads >= shards`.
-    let sharded_us = delta.span("mc.core.ssj.sharded").total_us;
-    let shard_critical_us = delta.span("mc.core.ssj.shard_critical_us").total_us;
-    let critical_us = joint_us - sharded_us.min(joint_us) + shard_critical_us;
     let report = VariantReport {
         name,
         shards: params.shards,
-        kernel: match params.kernel {
-            SsjKernel::Scalar => "scalar",
-            SsjKernel::Bitmap { .. } => "bitmap",
-        },
         candidates,
         joint_us,
         config_us: delta.span("mc.core.joint.config").total_us,
-        critical_us,
         events: delta.counter("mc.core.ssj.events"),
         scored: delta.counter("mc.core.ssj.scored"),
         dense_fallbacks: delta.counter("mc.core.ssj.dense_fallback"),
@@ -172,14 +141,14 @@ fn assert_identical(reference: &Entries, got: &Entries, label: &str) {
     assert_eq!(
         reference.len(),
         got.len(),
-        "{label}: config count diverged from the scalar reference"
+        "{label}: config count diverged from the single-shard reference"
     );
     for (cfg, (r, g)) in reference.iter().zip(got.iter()).enumerate() {
         assert!(
             r == g,
             "{label}: sorted_entries mismatch at config {cfg} \
-             (reference {} entries, got {}) — the sharded/bitmap execution \
-             must be bit-identical to the single-shard scalar one",
+             (reference {} entries, got {}) — the sharded execution \
+             must be bit-identical to the single-shard one",
             r.len(),
             g.len()
         );
@@ -193,9 +162,9 @@ fn main() {
     let seed = env.seed(7);
     let runs = env.runs(3);
     let threads = env.threads();
-    let shards: usize = env.value_or("--shards", 8);
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let shards: usize = env.value_or("--shards", if env.smoke { 8 } else { cores });
     let out_path = env.out("BENCH_scale.json");
-    let min_speedup: f64 = env.value_or("--min-speedup", 0.0);
 
     let ds = DatasetProfile::ZipfScale.generate_scaled(seed, scale);
     let generator = ConfigGenerator::default();
@@ -209,53 +178,39 @@ fn main() {
         .span("mc.strsim.dict.build")
         .total_us;
 
-    let (single, reference) = run_variant(
-        "single_scalar",
-        &ta,
-        &tb,
-        &tree,
-        params_for(k, threads, 1, SsjKernel::Scalar),
-        runs,
-    );
+    let (single, reference) =
+        run_variant("single", &ta, &tb, &tree, params_for(k, threads, 1), runs);
     let (sharded, sharded_entries) = run_variant(
-        "sharded_simd",
+        "sharded",
         &ta,
         &tb,
         &tree,
-        params_for(k, threads, shards, SsjKernel::bitmap()),
+        params_for(k, threads, shards),
         runs,
     );
 
-    // Determinism contract: the bitmap kernel at every swept shard count
-    // reproduces the scalar single-shard entries bit for bit.
-    assert_identical(&reference, &sharded_entries, "sharded_simd");
+    // Determinism contract: every swept shard count reproduces the
+    // single-shard entries bit for bit.
+    assert_identical(&reference, &sharded_entries, "sharded");
     let mut shard_counts_checked = vec![1usize, 4, shards];
     shard_counts_checked.sort_unstable();
     shard_counts_checked.dedup();
     for &s in &shard_counts_checked {
         if s == shards {
-            continue; // already checked via the sharded_simd run above
+            continue; // already checked via the sharded run above
         }
-        let got = entries_at(
-            &ta,
-            &tb,
-            &tree,
-            params_for(k, threads, s, SsjKernel::bitmap()),
-        );
-        assert_identical(&reference, &got, &format!("bitmap shards={s}"));
+        let got = entries_at(&ta, &tb, &tree, params_for(k, threads, s));
+        assert_identical(&reference, &got, &format!("shards={s}"));
     }
 
-    // Wall-clock speedup on THIS machine (sequential when cores <
-    // shards) and the parallel speedup at `threads >= shards`, from the
-    // measured per-shard critical paths.
     let speedup_wall = single.joint_us as f64 / sharded.joint_us.max(1) as f64;
-    let speedup = single.joint_us as f64 / sharded.critical_us.max(1) as f64;
 
     let variants = [&single, &sharded];
     let mut json = String::new();
     let _ = write!(
         json,
-        "{{\n  \"schema\": \"mc-bench-scale/v1\",\n  \"dataset\": {{\"name\": \"{}\", \
+        "{{\n  \"schema\": \"mc-bench-scale/v2\",\n  \"cores\": {cores},\n  \
+         \"dataset\": {{\"name\": \"{}\", \
          \"scale\": {}, \"records_a\": {}, \"records_b\": {}, \"k\": {}, \
          \"configs\": {}, \"tokenize_us\": {}}},\n  \"variants\": [",
         ds.name,
@@ -272,18 +227,15 @@ fn main() {
         }
         let _ = write!(
             json,
-            "\n    {{\"name\": \"{}\", \"shards\": {}, \"kernel\": \"{}\", \
-             \"candidates\": {}, \"stages\": {{\"joint_us\": {}, \"config_us\": {}, \
-             \"critical_us\": {}}}, \
+            "\n    {{\"name\": \"{}\", \"shards\": {}, \
+             \"candidates\": {}, \"stages\": {{\"joint_us\": {}, \"config_us\": {}}}, \
              \"counters\": {{\"events\": {}, \"scored\": {}, \"dense_fallbacks\": {}}}, \
              \"allocs\": {{\"count\": {}, \"bytes\": {}}}}}",
             v.name,
             v.shards,
-            v.kernel,
             v.candidates,
             v.joint_us,
             v.config_us,
-            v.critical_us,
             v.events,
             v.scored,
             v.dense_fallbacks,
@@ -294,24 +246,21 @@ fn main() {
     let _ = write!(
         json,
         "\n  ],\n  \"identity\": {{\"shard_counts_checked\": {}}},\n  \
-         \"speedup\": {{\"joint_wall\": {speedup_wall:.4}, \
-         \"joint_critical_path\": {speedup:.4}}}\n}}\n",
+         \"speedup\": {{\"joint_wall\": {speedup_wall:.4}}}\n}}\n",
         shard_counts_checked.len()
     );
     std::fs::write(&out_path, &json).expect("write BENCH_scale.json");
 
     println!(
-        "{:<14} {:>6} {:>8} {:>12} {:>12} {:>14} {:>12} {:>8}",
-        "variant", "shards", "kernel", "joint", "critical", "scored", "allocs", "|E|"
+        "{:<8} {:>6} {:>12} {:>14} {:>12} {:>8}",
+        "variant", "shards", "joint", "scored", "allocs", "|E|"
     );
     for v in &variants {
         println!(
-            "{:<14} {:>6} {:>8} {:>10.2}ms {:>10.2}ms {:>14} {:>12} {:>8}",
+            "{:<8} {:>6} {:>10.2}ms {:>14} {:>12} {:>8}",
             v.name,
             v.shards,
-            v.kernel,
             v.joint_us as f64 / 1e3,
-            v.critical_us as f64 / 1e3,
             v.scored,
             v.allocs.allocations,
             v.candidates
@@ -319,36 +268,23 @@ fn main() {
     }
     println!(
         "identity ok across shard counts {shard_counts_checked:?}; \
-         joint speedup {speedup_wall:.2}x wall, {speedup:.2}x critical-path \
-         (threads >= shards)"
+         joint speedup {speedup_wall:.2}x wall on {cores} cores"
     );
     println!("wrote {out_path}");
 
     if env.has("--sweep") {
-        // Diagnostic matrix: single-repetition joint time for every
-        // (shards, kernel) combination. Not part of the JSON report.
-        println!("{:<8} {:>12} {:>12}", "shards", "scalar", "bitmap");
+        // Diagnostic column: single-repetition joint wall time per shard
+        // count. Not part of the JSON report.
+        println!("{:<8} {:>12}", "shards", "joint");
         for s in [1usize, 2, 4, 8] {
-            let mut row = format!("{s:<8}");
-            for kernel in [SsjKernel::Scalar, SsjKernel::bitmap()] {
-                let killed = PairSet::new();
-                let base = MetricsSnapshot::capture();
-                let _ = run_joint(&ta, &tb, &killed, &tree, params_for(k, threads, s, kernel));
-                let us = MetricsSnapshot::capture()
-                    .since(&base)
-                    .span("mc.core.joint.run")
-                    .total_us;
-                let _ = write!(row, " {:>10.2}ms", us as f64 / 1e3);
-            }
-            println!("{row}");
+            let killed = PairSet::new();
+            let base = MetricsSnapshot::capture();
+            let _ = run_joint(&ta, &tb, &killed, &tree, params_for(k, threads, s));
+            let us = MetricsSnapshot::capture()
+                .since(&base)
+                .span("mc.core.joint.run")
+                .total_us;
+            println!("{s:<8} {:>10.2}ms", us as f64 / 1e3);
         }
-    }
-
-    if min_speedup > 0.0 && speedup < min_speedup {
-        eprintln!(
-            "SPEEDUP BELOW FLOOR: sharded_simd critical path is only {speedup:.2}x \
-             faster than single_scalar (floor {min_speedup})"
-        );
-        std::process::exit(1);
     }
 }

@@ -15,6 +15,7 @@ use crate::explain::MatchExplanation;
 use crate::features::FeatureExtractor;
 use crate::joint::{
     build_arenas, run_joint, run_joint_with_arenas, CandidateUnion, JointOutput, JointParams,
+    QStrategy,
 };
 use crate::oracle::Oracle;
 use crate::ssj::TopKList;
@@ -100,6 +101,12 @@ impl DebuggerParams {
         if self.joint.threads == 0 {
             return Err("joint.threads = 0: no workers would execute configs; \
                         use JointParams::default() to get one worker per core"
+                .into());
+        }
+        if let QStrategy::Auto { prelude_k: 0, .. } = self.joint.q {
+            return Err("joint.q = Auto { prelude_k: 0 }: the q-selection \
+                        prelude joins would have no list to fill (the paper \
+                        uses prelude_k = 50)"
                 .into());
         }
         if self.verifier.forest.n_trees == 0 {
@@ -795,6 +802,22 @@ mod tests {
         params.joint.k = DebuggerParams::MAX_LIST_CAP + 1;
         assert!(params.validate().is_err());
         params.joint.k = DebuggerParams::MAX_LIST_CAP;
+        assert!(params.validate().is_ok());
+    }
+
+    #[test]
+    fn auto_q_without_a_prelude_list_is_rejected() {
+        let mut params = DebuggerParams::small();
+        params.joint.q = QStrategy::Auto {
+            max_q: 3,
+            prelude_k: 0,
+        };
+        let err = params.validate().unwrap_err();
+        assert!(err.contains("joint.q"), "unexpected error: {err}");
+        params.joint.q = QStrategy::Auto {
+            max_q: 3,
+            prelude_k: 1,
+        };
         assert!(params.validate().is_ok());
     }
 

@@ -38,7 +38,6 @@ use crate::ssj::{
     JoinScratchPool, PairScorer, ScoreCache, ScoreOutcome, SsjInstance, SsjParams, TopKList,
 };
 use mc_strsim::arena::RecordArena;
-use mc_strsim::bitmap::{overlap_with_bound_bitmap, BitmapIndex};
 use mc_strsim::dict::TokenizedTable;
 use mc_strsim::measures::{
     overlap_bound_key, overlap_with_bound, required_overlap_keyed, SetMeasure,
@@ -98,35 +97,43 @@ impl BoundMemo {
 /// The joint stage's scorer: the exact gated kernel, with the required
 /// overlap served from a per-gate memo and, on the root config, the
 /// prelude score cache in front.
+///
+/// Scorers are deliberately not `Sync`: each worker (or shard) owns one
+/// and tallies its attempts in a plain cell — no atomic traffic per
+/// attempt — flushing the tally into the run-wide sink on drop.
 struct JointScorer<'a> {
     measure: SetMeasure,
     /// The prelude-populated score cache (root config only; see
     /// [`run_joint_with_arenas`]).
     score_cache: Option<&'a ScoreCache>,
-    /// Scoring attempts. A scorer lives on one worker thread, so a plain
-    /// cell suffices — no atomic traffic per attempt.
+    /// Scoring attempts since construction.
     attempts: Cell<usize>,
+    /// The run-wide attempts sink `attempts` flushes into on drop.
+    attempts_sink: &'a AtomicUsize,
     /// Per-gate required-overlap memo.
     bound_memo: RefCell<BoundMemo>,
-    /// Bitmap indexes of this config's arenas (A side, B side) when the
-    /// bitmap kernel is selected. The kernel is exactly equivalent to the
-    /// scalar merge, so results stay bit-identical either way.
-    bitmaps: Option<(&'a BitmapIndex, &'a BitmapIndex)>,
 }
 
 impl<'a> JointScorer<'a> {
     fn new(
         measure: SetMeasure,
         score_cache: Option<&'a ScoreCache>,
-        bitmaps: Option<(&'a BitmapIndex, &'a BitmapIndex)>,
+        attempts_sink: &'a AtomicUsize,
     ) -> Self {
         JointScorer {
             measure,
             score_cache,
             attempts: Cell::new(0),
+            attempts_sink,
             bound_memo: RefCell::new(BoundMemo::default()),
-            bitmaps,
         }
+    }
+}
+
+impl Drop for JointScorer<'_> {
+    fn drop(&mut self) {
+        self.attempts_sink
+            .fetch_add(self.attempts.get(), Ordering::Relaxed);
     }
 }
 
@@ -162,47 +169,10 @@ impl PairScorer for JointScorer<'_> {
             .bound_memo
             .borrow_mut()
             .required(self.measure, gate, ra.len(), rb.len());
-        let o = match self.bitmaps {
-            Some((ba, bb)) => overlap_with_bound_bitmap(ba, bb, ra, rb, a, b, o_min),
-            None => overlap_with_bound(ra, rb, o_min),
-        };
-        match o {
+        match overlap_with_bound(ra, rb, o_min) {
             Some(o) => ScoreOutcome::Scored(self.measure.from_overlap(o, ra.len(), rb.len())),
             None => ScoreOutcome::Refuted,
         }
-    }
-}
-
-/// Per-shard scorer of the sharded execution path: a fresh
-/// [`JointScorer`] whose attempt tally flushes into the run-wide atomic
-/// when the shard worker drops it (scorers are deliberately not `Sync`,
-/// so each shard owns one).
-struct ShardScorer<'a> {
-    inner: JointScorer<'a>,
-    attempts: &'a AtomicUsize,
-}
-
-impl PairScorer for ShardScorer<'_> {
-    fn score(&self, a: TupleId, b: TupleId, ra: &[u32], rb: &[u32]) -> f64 {
-        self.inner.score(a, b, ra, rb)
-    }
-
-    fn score_above(
-        &self,
-        a: TupleId,
-        b: TupleId,
-        ra: &[u32],
-        rb: &[u32],
-        gate: f64,
-    ) -> ScoreOutcome {
-        self.inner.score_above(a, b, ra, rb, gate)
-    }
-}
-
-impl Drop for ShardScorer<'_> {
-    fn drop(&mut self) {
-        self.attempts
-            .fetch_add(self.inner.attempts.get(), Ordering::Relaxed);
     }
 }
 
@@ -219,33 +189,6 @@ pub enum QStrategy {
         /// Prelude list size (the paper uses 50).
         prelude_k: usize,
     },
-}
-
-/// Which intersection kernel the joint scorer uses.
-///
-/// Both kernels return the same overlap integer with the same
-/// `Some`/`None` outcome, so the choice never changes results — only
-/// where the merge cycles go.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SsjKernel {
-    /// The scalar merge+gallop kernel (`overlap_with_bound`).
-    Scalar,
-    /// Bitset popcount over the top `bits` token ranks, scalar merge on
-    /// the rare prefix (see `mc_strsim::bitmap`).
-    Bitmap {
-        /// Width of the frequent suffix each bitset covers, in ranks.
-        bits: u32,
-    },
-}
-
-impl SsjKernel {
-    /// The bitmap kernel at its default width
-    /// ([`mc_strsim::bitmap::DEFAULT_FREQ_BITS`]).
-    pub fn bitmap() -> SsjKernel {
-        SsjKernel::Bitmap {
-            bits: mc_strsim::bitmap::DEFAULT_FREQ_BITS,
-        }
-    }
 }
 
 /// Parameters of the joint execution.
@@ -269,8 +212,6 @@ pub struct JointParams {
     /// huge inputs whose root join dwarfs the rest of the tree. Results
     /// are bit-identical at every shard count.
     pub shards: usize,
-    /// Intersection kernel of the joint scorer.
-    pub kernel: SsjKernel,
     /// Enable parent→child top-k list seeding. Result-neutral at
     /// `q = 1`; with `q > 1` a seed can keep a pair below the child's
     /// q-overlap floor in its list.
@@ -293,7 +234,6 @@ impl Default for JointParams {
             q: QStrategy::Fixed(1),
             threads: std::thread::available_parallelism().map_or(4, |p| p.get()),
             shards: 1,
-            kernel: SsjKernel::Scalar,
             reuse_topk: true,
             clamp_shards: true,
         }
@@ -501,21 +441,10 @@ pub fn run_joint_with_arenas(
                         Some(p) if params.reuse_topk => Some(finished[p].wait()),
                         _ => None,
                     };
-                    let bitmaps = match params.kernel {
-                        SsjKernel::Scalar => None,
-                        SsjKernel::Bitmap { bits } => {
-                            let bound = records_a.rank_bound().max(records_b.rank_bound());
-                            Some((
-                                BitmapIndex::build(records_a, bound, bits),
-                                BitmapIndex::build(records_b, bound, bits),
-                            ))
-                        }
-                    };
-                    let bitmap_refs = bitmaps.as_ref().map(|(x, y)| (x, y));
                     // The prelude cache is keyed on the *root* arenas, so
                     // only the root config may consume it.
                     let cache = if i == 0 { score_cache.as_ref() } else { None };
-                    let scorer = JointScorer::new(params.measure, cache, bitmap_refs);
+                    let scorer = JointScorer::new(params.measure, cache, &attempts);
                     // Top-k seeding: adopt the parent's finished list,
                     // re-scored under this config.
                     let seed: Vec<(f64, u64)> = parent_final
@@ -550,10 +479,7 @@ pub fn run_joint_with_arenas(
                         topk_join_sharded(
                             inst,
                             ssj_params,
-                            |_| ShardScorer {
-                                inner: JointScorer::new(params.measure, cache, bitmap_refs),
-                                attempts: &attempts,
-                            },
+                            |_| JointScorer::new(params.measure, cache, &attempts),
                             &seed,
                             None,
                             shards,
@@ -563,7 +489,6 @@ pub fn run_joint_with_arenas(
                     } else {
                         topk_join_with_scratch(inst, ssj_params, &scorer, &seed, None, &mut scratch)
                     };
-                    attempts.fetch_add(scorer.attempts.get(), Ordering::Relaxed);
                     finished[i]
                         .set(list.sorted_entries())
                         .expect("each config finishes exactly once");
@@ -781,38 +706,35 @@ mod tests {
     }
 
     #[test]
-    fn results_are_thread_count_and_kernel_invariant() {
+    fn results_are_thread_count_invariant() {
         // Parent-gated seeding plus deterministic q selection make the
-        // output *bit-identical* across worker counts and kernels: same
-        // q, same pairs, same f64 score bits — with seeding on and q
-        // chosen empirically.
+        // output *bit-identical* across worker counts: same q, same
+        // pairs, same f64 score bits — with seeding on and q chosen
+        // empirically.
         let (a, b) = fixture();
         let (ta, tb, tree) = tree_for(&a, &b);
         let killed = PairSet::new();
         let mut runs = Vec::new();
         for threads in [1usize, 2, 4] {
-            for kernel in [SsjKernel::Scalar, SsjKernel::bitmap()] {
-                let out = run_joint(
-                    &ta,
-                    &tb,
-                    &killed,
-                    &tree,
-                    JointParams {
-                        k: 12,
-                        threads,
-                        kernel,
-                        q: QStrategy::Auto {
-                            max_q: 3,
-                            prelude_k: 5,
-                        },
-                        ..Default::default()
+            let out = run_joint(
+                &ta,
+                &tb,
+                &killed,
+                &tree,
+                JointParams {
+                    k: 12,
+                    threads,
+                    q: QStrategy::Auto {
+                        max_q: 3,
+                        prelude_k: 5,
                     },
-                );
-                runs.push((threads, kernel, run_bits(&out)));
-            }
+                    ..Default::default()
+                },
+            );
+            runs.push((threads, run_bits(&out)));
         }
-        for (threads, kernel, bits) in &runs[1..] {
-            assert_eq!(&runs[0].2, bits, "threads={threads} kernel={kernel:?}");
+        for (threads, bits) in &runs[1..] {
+            assert_eq!(&runs[0].1, bits, "threads={threads}");
         }
     }
 
@@ -833,7 +755,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_runs_are_bit_identical_across_shards_and_kernels() {
+    fn sharded_runs_are_bit_identical_across_shards() {
         let (a, b) = fixture();
         let (ta, tb, tree) = tree_for(&a, &b);
         let killed = PairSet::new();
@@ -850,33 +772,67 @@ mod tests {
         );
         let base_bits = run_bits(&base);
         for shards in [2usize, 4, 16] {
-            for kernel in [
-                SsjKernel::Scalar,
-                SsjKernel::bitmap(),
-                SsjKernel::Bitmap { bits: 7 },
-            ] {
-                for threads in [1usize, 3] {
-                    let out = run_joint(
-                        &ta,
-                        &tb,
-                        &killed,
-                        &tree,
-                        JointParams {
-                            k: 15,
-                            threads,
-                            shards,
-                            kernel,
-                            ..Default::default()
-                        },
-                    );
-                    assert_eq!(
-                        base_bits,
-                        run_bits(&out),
-                        "shards={shards} kernel={kernel:?} threads={threads}"
-                    );
-                }
+            for threads in [1usize, 3] {
+                let out = run_joint(
+                    &ta,
+                    &tb,
+                    &killed,
+                    &tree,
+                    JointParams {
+                        k: 15,
+                        threads,
+                        shards,
+                        ..Default::default()
+                    },
+                );
+                assert_eq!(
+                    base_bits,
+                    run_bits(&out),
+                    "shards={shards} threads={threads}"
+                );
             }
         }
+    }
+
+    #[test]
+    fn shard_clamp_caps_shards_at_cores_without_changing_output() {
+        let (a, b) = fixture();
+        let (ta, tb, tree) = tree_for(&a, &b);
+        let killed = PairSet::new();
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let shards = cores + 3;
+        let mut runs = Vec::new();
+        for clamp_shards in [true, false] {
+            let ctx = mc_obs::ObsContext::session();
+            let out = {
+                let _obs = ctx.attach();
+                run_joint(
+                    &ta,
+                    &tb,
+                    &killed,
+                    &tree,
+                    JointParams {
+                        k: 15,
+                        threads: 2,
+                        shards,
+                        clamp_shards,
+                        ..Default::default()
+                    },
+                )
+            };
+            let snap = ctx.snapshot();
+            runs.push((
+                run_bits(&out),
+                snap.gauge("mc.core.joint.shards_effective"),
+                snap.counter("mc.core.joint.shards_clamped"),
+            ));
+        }
+        let (on, off) = (&runs[0], &runs[1]);
+        assert_eq!(on.0, off.0, "the clamp never changes output");
+        assert_eq!(on.1, shards.min(cores) as i64);
+        assert_eq!(on.2, 1);
+        assert_eq!(off.1, shards as i64, "clamp off runs every shard");
+        assert_eq!(off.2, 0);
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //!    similarity join over the concatenated attribute strings, excluding
 //!    pairs in `C`. [`ssj`] implements the TopKJoin baseline \[34\] and the
 //!    paper's faster **QJoin**; [`joint`] executes all configs jointly,
-//!    reusing overlap computations (the concurrent database `H`) and top-k
-//!    lists across configs, one config per core.
+//!    seeding each child config from its parent's top-k list, one config
+//!    per core, and scores every pair with one exact, gated overlap
+//!    kernel (the paper's overlap database `H` is not implemented).
 //! 3. **Match Verifier** ([`verify`]) — aggregates the per-config top-k
 //!    lists with MedRank ([`rank`]), then iteratively shows `n = 20` pairs
 //!    to the user, using hybrid active/online learning on a random forest

@@ -1378,7 +1378,7 @@ where
         .collect();
     let workers = threads.clamp(1, shards);
     let next = std::sync::atomic::AtomicUsize::new(0);
-    let results: Vec<std::sync::OnceLock<(TopKList, u64)>> =
+    let results: Vec<std::sync::OnceLock<TopKList>> =
         (0..shards).map(|_| std::sync::OnceLock::new()).collect();
     // Cross-shard pruning state: one shared canonical top-k whose
     // threshold every shard folds into its prune/gate decisions. Seeds
@@ -1414,11 +1414,6 @@ where
                     }
                     let scorer = make_scorer(i);
                     let (a_lo, a_hi, b_lo, b_hi) = bounds[i];
-                    // Per-thread CPU time, not wall time: on a host with
-                    // fewer cores than workers the scheduler interleaves
-                    // shards, and a wall clock would charge each shard
-                    // for time its siblings ran.
-                    let started = mc_obs::thread_cpu_us();
                     let list = topk_join_in_range(
                         inst,
                         params,
@@ -1432,36 +1427,18 @@ where
                         b_hi,
                         Some(shared),
                     );
-                    let busy = mc_obs::thread_cpu_us().saturating_sub(started);
-                    let _ = results[i].set((list, busy));
+                    let _ = results[i].set(list);
                 }
             });
         }
     });
-    // The slowest shard's busy time is this join's parallel critical
-    // path — the wall clock the sharded stage takes once `threads >=
-    // shards`. Recorded so scale benches can report parallel scaling
-    // even when the bench machine has fewer cores than shards.
-    let critical_us = results
-        .iter()
-        .map(|slot| slot.get().expect("every shard produced a list").1)
-        .max()
-        .unwrap_or(0);
-    mc_obs::histogram!("mc.core.ssj.shard_critical_us").record(critical_us);
-    if std::env::var("MC_SSJ_SHARD_DEBUG").is_ok_and(|v| v == "1") {
-        let times: Vec<u64> = results
-            .iter()
-            .map(|slot| slot.get().expect("every shard produced a list").1)
-            .collect();
-        eprintln!("shard busy us: {times:?}");
-    }
     // Canonical merge: offer every shard entry once (seeds were
     // broadcast, so the same pair key may surface from several shards
     // with an identical score — first offer wins, the rest are skipped).
     let mut seen: FxHashMap<u64, ()> = fx_map();
     let mut merged = TopKList::new(params.k);
     for slot in &results {
-        let (list, _) = slot.get().expect("every shard produced a list");
+        let list = slot.get().expect("every shard produced a list");
         for (score, pair) in list.sorted_entries() {
             if seen.insert(pair, ()).is_none() {
                 merged.insert(score, pair);

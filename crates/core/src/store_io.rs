@@ -100,8 +100,8 @@ pub fn arena_key(tok: Digest, side: u8, positions: &[usize]) -> Digest {
 
 /// Key of the joint stage's candidate union. Covers everything that can
 /// change the union — tree shape, `k`, measure, `q` strategy, top-k
-/// seeding, and the killed set — but **not** the thread count, shard
-/// count or kernel (the joint stage is bit-identical across all three).
+/// seeding, and the killed set — but **not** the thread or shard count
+/// (the joint stage is bit-identical across both).
 pub fn union_key(tok: Digest, tree: &ConfigTree, params: &JointParams, killed: &PairSet) -> Digest {
     let mut w = DigestWriter::new();
     w.write_str("mc-store/union/v2");
@@ -680,12 +680,7 @@ mod tests {
         p.threads = 8;
         assert_eq!(k1, union_key(tok, &tree, &p, &killed), "threads excluded");
         p.shards = 4;
-        p.kernel = crate::joint::SsjKernel::bitmap();
-        assert_eq!(
-            k1,
-            union_key(tok, &tree, &p, &killed),
-            "shards and kernel excluded"
-        );
+        assert_eq!(k1, union_key(tok, &tree, &p, &killed), "shards excluded");
         p.k += 1;
         assert_ne!(k1, union_key(tok, &tree, &p, &killed), "k separates");
         p.k -= 1;

@@ -139,8 +139,8 @@ impl DatasetProfile {
             DatasetProfile::ZipfScale => {
                 // Vocabulary grows with the table so up-scaling does not
                 // collapse every record onto the same few tokens; the
-                // exponent keeps the head heavy enough that the frequent
-                // ranks matter (they are what the bitmap kernel targets).
+                // exponent keeps the head heavy enough that frequent
+                // tokens crowd record suffixes the prefix filter skips.
                 let vocab = (approx_rows / 4).clamp(1_000, 50_000);
                 Box::new(ZipfFactory::new(rng, vocab, 1.07))
             }
