@@ -53,6 +53,7 @@ struct VariantReport {
     config_us: u64,
     events: u64,
     scored: u64,
+    verify_tokens: u64,
     dense_fallbacks: u64,
     allocs: AllocStats,
 }
@@ -116,6 +117,7 @@ fn run_variant(
         config_us: delta.span("mc.core.joint.config").total_us,
         events: delta.counter("mc.core.ssj.events"),
         scored: delta.counter("mc.core.ssj.scored"),
+        verify_tokens: delta.counter("mc.core.ssj.verify_tokens"),
         dense_fallbacks: delta.counter("mc.core.ssj.dense_fallback"),
         allocs,
     };
@@ -229,7 +231,8 @@ fn main() {
             json,
             "\n    {{\"name\": \"{}\", \"shards\": {}, \
              \"candidates\": {}, \"stages\": {{\"joint_us\": {}, \"config_us\": {}}}, \
-             \"counters\": {{\"events\": {}, \"scored\": {}, \"dense_fallbacks\": {}}}, \
+             \"counters\": {{\"events\": {}, \"scored\": {}, \"verify_tokens\": {}, \
+             \"dense_fallbacks\": {}}}, \
              \"allocs\": {{\"count\": {}, \"bytes\": {}}}}}",
             v.name,
             v.shards,
@@ -238,6 +241,7 @@ fn main() {
             v.config_us,
             v.events,
             v.scored,
+            v.verify_tokens,
             v.dense_fallbacks,
             v.allocs.allocations,
             v.allocs.bytes

@@ -11,6 +11,12 @@
 //!   total, best of `--runs` repetitions);
 //! * `config_us` — sum of per-config join spans in the best run.
 //!
+//! Work counters per profile come from the best run's metrics delta;
+//! `verify_tokens` is the number of suffix tokens the joins handed to the
+//! bounded merge (`mc.core.ssj.verify_tokens`) — positional verification
+//! skips each candidate's already-counted prefix, so it sits well below
+//! the whole-record token sums the `q` cost model charges.
+//!
 //! The main numbers run with a fixed `q = 1` so the candidate sets stay
 //! comparable across versions; a separate `auto_q` section per profile
 //! demonstrates empirical q selection with the prelude score cache.
@@ -55,6 +61,7 @@ struct ProfileReport {
     merge_aborts: u64,
     cache_hits: u64,
     scored_saved: u64,
+    verify_tokens: u64,
     allocs: AllocStats,
     auto_q: AutoQReport,
 }
@@ -162,6 +169,7 @@ fn run_profile(
         merge_aborts: delta.counter("mc.core.ssj.merge_aborts"),
         cache_hits: delta.counter("mc.core.ssj.cache_hits"),
         scored_saved: delta.counter("mc.core.ssj.scored_saved"),
+        verify_tokens: delta.counter("mc.core.ssj.verify_tokens"),
         allocs,
         auto_q,
     }
@@ -232,7 +240,8 @@ fn main() {
             "\n    {{\"name\": \"{}\", \"scale\": {}, \"k\": {}, \"configs\": {}, \
              \"candidates\": {}, \"stages\": {{\"tokenize_us\": {}, \"joint_us\": {}, \
              \"config_us\": {}}}, \"counters\": {{\"events\": {}, \"scored\": {}, \
-             \"merge_aborts\": {}, \"cache_hits\": {}, \"scored_saved\": {}}}, \
+             \"merge_aborts\": {}, \"cache_hits\": {}, \"scored_saved\": {}, \
+             \"verify_tokens\": {}}}, \
              \"allocs\": {{\"count\": {}, \"bytes\": {}}}, \
              \"auto_q\": {{\"q_used\": {}, \"select_q_us\": {}, \"joint_us\": {}, \
              \"cache_hits\": {}}}}}",
@@ -249,6 +258,7 @@ fn main() {
             r.merge_aborts,
             r.cache_hits,
             r.scored_saved,
+            r.verify_tokens,
             r.allocs.allocations,
             r.allocs.bytes,
             r.auto_q.q_used,

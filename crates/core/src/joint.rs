@@ -39,9 +39,7 @@ use crate::ssj::{
 };
 use mc_strsim::arena::RecordArena;
 use mc_strsim::dict::TokenizedTable;
-use mc_strsim::measures::{
-    overlap_bound_key, overlap_with_bound, required_overlap_keyed, SetMeasure,
-};
+use mc_strsim::measures::{overlap_bound_key, required_overlap_keyed, SetMeasure, Split};
 use mc_table::hash::FxHashMap;
 use mc_table::{split_pair_key, PairSet, TupleId};
 use parking_lot::Mutex;
@@ -141,7 +139,7 @@ impl PairScorer for JointScorer<'_> {
     fn score(&self, a: TupleId, b: TupleId, ra: &[u32], rb: &[u32]) -> f64 {
         // A gate of −1 can never refute, so the gated path degenerates to
         // exact scoring (one implementation, one score path).
-        match self.score_above(a, b, ra, rb, -1.0) {
+        match self.score_above(a, b, ra, rb, Split::WHOLE, -1.0) {
             ScoreOutcome::Scored(s) | ScoreOutcome::Cached(s) => s,
             ScoreOutcome::Refuted => unreachable!("a −1 gate never refutes"),
         }
@@ -153,6 +151,7 @@ impl PairScorer for JointScorer<'_> {
         b: TupleId,
         ra: &[u32],
         rb: &[u32],
+        split: Split,
         gate: f64,
     ) -> ScoreOutcome {
         self.attempts.set(self.attempts.get() + 1);
@@ -169,7 +168,7 @@ impl PairScorer for JointScorer<'_> {
             .bound_memo
             .borrow_mut()
             .required(self.measure, gate, ra.len(), rb.len());
-        match overlap_with_bound(ra, rb, o_min) {
+        match split.overlap_with_bound(ra, rb, o_min) {
             Some(o) => ScoreOutcome::Scored(self.measure.from_overlap(o, ra.len(), rb.len())),
             None => ScoreOutcome::Refuted,
         }
@@ -874,5 +873,61 @@ mod tests {
         );
         assert!((1..=3).contains(&out.q_used));
         assert_eq!(out.lists.len(), tree.len());
+    }
+
+    #[test]
+    fn joint_scorer_split_verification_matches_whole_records() {
+        // Positional verification through the memoized joint kernel: a
+        // split after the `occ`-th copy of any shared token must give the
+        // whole-record outcome and score bit for bit, at every gate.
+        let mut state = 0x9e37_79b9_u64;
+        let mut next = move |m: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        };
+        let recs: Vec<Vec<u32>> = (0..40)
+            .map(|_| {
+                let mut r: Vec<u32> = (0..next(10)).map(|_| next(4) as u32).collect();
+                r.sort_unstable();
+                r
+            })
+            .collect();
+        let bits = |o: ScoreOutcome| match o {
+            ScoreOutcome::Scored(s) => (0, s.to_bits()),
+            ScoreOutcome::Cached(s) => (1, s.to_bits()),
+            ScoreOutcome::Refuted => (2, 0),
+        };
+        let sink = AtomicUsize::new(0);
+        for m in SetMeasure::ALL {
+            let scorer = JointScorer::new(m, None, &sink);
+            for ra in &recs {
+                for rb in &recs {
+                    let exact = m.score(ra, rb);
+                    for gate in [-1.0, 0.0, 0.3, exact] {
+                        let whole = bits(scorer.score_above(0, 0, ra, rb, Split::WHOLE, gate));
+                        for tok in 0..4u32 {
+                            let fa = ra.partition_point(|&t| t < tok);
+                            let fb = rb.partition_point(|&t| t < tok);
+                            let ca = ra.partition_point(|&t| t <= tok) - fa;
+                            let cb = rb.partition_point(|&t| t <= tok) - fb;
+                            for occ in 1..=ca.min(cb) {
+                                let split = Split {
+                                    ia: fa + occ,
+                                    ib: fb + occ,
+                                    common: mc_strsim::multiset_overlap(
+                                        &ra[..fa + occ],
+                                        &rb[..fb + occ],
+                                    ),
+                                };
+                                let got = bits(scorer.score_above(0, 0, ra, rb, split, gate));
+                                assert_eq!(got, whole, "{m:?} gate={gate} {ra:?} {rb:?} {split:?}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -28,9 +28,10 @@
 //!
 //! Records live in a flat [`RecordArena`] (one contiguous token buffer +
 //! offsets) and tokens are dense dictionary ranks, so the inverted index
-//! is a **`Vec`-indexed postings array** rather than a hash map, and
-//! each posting carries the number of copies of its token the posting
-//! record's prefix holds. Together with a per-record *current-token run
+//! is a **`Vec`-indexed postings array** rather than a hash map. Each
+//! posting is `(record, copies, first)`: the number of copies of its
+//! token the posting record's prefix holds, and the record position of
+//! the first copy. Together with a per-record *current-token run
 //! counter* this removes the two per-event `partition_point` binary
 //! searches the occurrence check used to need: a record's own occurrence
 //! count is maintained incrementally as its prefix extends, and a
@@ -38,9 +39,35 @@
 //! (positions, run counters, postings, pair states, the event heap)
 //! lives in a reusable [`JoinScratch`] so that consecutive joins on one
 //! worker allocate nothing in steady state.
+//!
+//! ## Positional verification
+//!
+//! Most scoring attempts are refutations, and each used to merge both
+//! records from token 0 — re-walking the prefixes whose overlap the
+//! event loop had just counted. When an incidence on the `occ`-th copy of
+//! token `tok` (record position `p`) brings a pair to `q` common tokens:
+//!
+//! * the event record's prefix is `rec[..=p]` and ends at that copy;
+//! * the partner's prefix holds every token below `tok` and at least
+//!   `occ` copies of it, so cutting it after its `occ`-th copy, at
+//!   `first + occ`, leaves the same `tok` count on both sides;
+//! * every incidence is counted exactly once, so `q` is the exact
+//!   multiset overlap of the two cut prefixes.
+//!
+//! Both prefixes hold only tokens `≤ tok` and both suffixes only tokens
+//! `≥ tok`, so `|ra ∩ rb| = q + |ra[ia..] ∩ rb[ib..]|` (see
+//! [`Split`]): the scorer merges only the suffixes, against the required
+//! overlap minus `q`, and scores `from_overlap(q + o, |ra|, |rb|)` — the
+//! same value and the same Scored/Refuted outcome as a whole-record
+//! merge. When `q + min(suffix lengths)` already misses the required
+//! overlap, the length filter refutes with no merge work (PPJoin's
+//! positional filter). `mc.core.ssj.verify_tokens` counts the suffix
+//! tokens handed to the merge. The scorer-fed token count [`select_q`]
+//! charges stays `|ra| + |rb|` per attempt: it is a cost model, and
+//! changing it would change the chosen `q` and with it the outputs.
 
 use mc_strsim::arena::RecordArena;
-use mc_strsim::measures::SetMeasure;
+use mc_strsim::measures::{SetMeasure, Split};
 use mc_table::hash::{fx_map, hash_u64, FxHashMap};
 use mc_table::{pair_key, split_pair_key, PairSet, TupleId};
 use parking_lot::RwLock;
@@ -238,8 +265,8 @@ pub struct SsjInstance<'a> {
 pub enum ScoreOutcome {
     /// A full merge completed; the score is exact.
     Scored(f64),
-    /// The exact score was obtained without a fresh merge (score cache or
-    /// overlap-database hit).
+    /// The exact score was obtained without a fresh merge (a
+    /// [`ScoreCache`] hit).
     Cached(f64),
     /// The merge aborted: the score is provably `≤` the gate. A refuted
     /// pair can never enter the top-k list, so no score is produced.
@@ -257,8 +284,9 @@ impl ScoreOutcome {
     }
 }
 
-/// Scores a pair given both records; the joint executor substitutes a
-/// reuse-aware scorer here (§4.2).
+/// Scores a pair given both records. Every join loop verifies through
+/// this one trait, so callers choose how scores are produced (plain
+/// merge, score cache in front) without touching the loops.
 ///
 /// Deliberately **not** `Sync`: every scorer is created and consumed on
 /// a single worker thread, which lets implementations keep cheap
@@ -275,7 +303,13 @@ pub trait PairScorer {
     /// **bit-identical** to what [`PairScorer::score`] would produce, so
     /// gating never changes the resulting top-k list.
     ///
-    /// The default falls back to ungated scoring.
+    /// `split` is where the join loop's prefixes met (see [`Split`]):
+    /// `split.common` tokens of `ra[..split.ia]` and `rb[..split.ib]`
+    /// are already counted, so only the suffixes need merging.
+    /// [`Split::WHOLE`] verifies the whole records. The split must never
+    /// change the outcome or the score.
+    ///
+    /// The default falls back to ungated whole-record scoring.
     #[inline]
     fn score_above(
         &self,
@@ -283,9 +317,10 @@ pub trait PairScorer {
         b: TupleId,
         ra: &[u32],
         rb: &[u32],
+        split: Split,
         gate: f64,
     ) -> ScoreOutcome {
-        let _ = gate;
+        let _ = (split, gate);
         ScoreOutcome::Scored(self.score(a, b, ra, rb))
     }
 }
@@ -306,9 +341,10 @@ impl PairScorer for ExactScorer {
         _b: TupleId,
         ra: &[u32],
         rb: &[u32],
+        split: Split,
         gate: f64,
     ) -> ScoreOutcome {
-        match self.0.score_above(ra, rb, gate) {
+        match self.0.score_above(ra, rb, split, gate) {
             Some(s) => ScoreOutcome::Scored(s),
             None => ScoreOutcome::Refuted,
         }
@@ -414,9 +450,10 @@ impl PairScorer for CachedExactScorer<'_> {
         b: TupleId,
         ra: &[u32],
         rb: &[u32],
+        split: Split,
         gate: f64,
     ) -> ScoreOutcome {
-        match self.measure.score_above(ra, rb, gate) {
+        match self.measure.score_above(ra, rb, split, gate) {
             Some(s) => {
                 self.cache.insert(pair_key(a, b), s);
                 ScoreOutcome::Scored(s)
@@ -442,6 +479,19 @@ fn bound_with_credit(measure: SetMeasure, la: usize, p: usize, credit: usize) ->
         SetMeasure::Dice => 2.0 * rem / (la_f + rem),
         SetMeasure::Overlap => 1.0,
     }
+}
+
+/// The [`Split`] of a pair whose prefixes just met at its `q`-th common
+/// token: the record on `side` (0 = A) processed that token and its
+/// suffix starts at `own`; the partner's starts at `theirs`.
+#[inline]
+fn meet_split(side: usize, own: usize, theirs: usize, q: usize) -> Split {
+    let (ia, ib) = if side == 0 {
+        (own, theirs)
+    } else {
+        (theirs, own)
+    };
+    Split { ia, ib, common: q }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -606,12 +656,14 @@ impl StateTable<'_> {
 
 /// A dense (rank-indexed) inverted index over the records' prefixes.
 ///
-/// `lists[rank]` holds `(record, copies)` postings: every record whose
-/// prefix contains `rank`, with the number of copies the prefix holds.
-/// Reset clears only the lists touched by the previous join.
+/// `lists[rank]` holds `(record, copies, first)` postings: every record
+/// whose prefix contains `rank`, the number of copies the prefix holds,
+/// and the record position of its first copy (where a candidate's
+/// suffix on this side starts, see [`Split`]). Reset clears only the
+/// lists touched by the previous join.
 #[derive(Default)]
 struct DensePostings {
-    lists: Vec<Vec<(TupleId, u32)>>,
+    lists: Vec<Vec<(TupleId, u32, u32)>>,
     touched: Vec<u32>,
 }
 
@@ -660,10 +712,11 @@ pub struct JoinScratch {
     /// Heap events processed by the most recent join on this scratch.
     events: u64,
     /// Total tokens fed to the scorer by the most recent join (the sum
-    /// of `|ra| + |rb|` over scoring *attempts*, whether or not the
-    /// merge completed — a machine-independent proxy for scoring cost
-    /// that is unaffected by threshold gating, so [`select_q`]'s cost
-    /// model is stable across kernel changes).
+    /// of whole-record `|ra| + |rb|` over scoring *attempts*, whether or
+    /// not the merge completed and however much of it positional
+    /// verification skipped — a machine-independent proxy for scoring
+    /// cost that is unaffected by threshold gating, so [`select_q`]'s
+    /// cost model is stable across kernel changes).
     scored_tokens: u64,
     /// Scoring attempts the most recent join refuted via merge abort.
     merge_aborts: u64,
@@ -1099,6 +1152,7 @@ fn topk_join_in_range(
     let mut n_cached = 0u64;
     let mut n_aborted = 0u64;
     let mut n_scored_tokens = 0u64;
+    let mut n_verify_tokens = 0u64;
     let mut n_killed_skipped = 0u64;
     let mut n_bound_pruned = 0u64;
     // Hoisted: the blocker output is checked once per pair (at scoring
@@ -1163,7 +1217,7 @@ fn topk_join_in_range(
 
         let partners = &postings[other].lists[tok as usize];
         if !partners.is_empty() {
-            for &(o, o_count) in partners {
+            for &(o, o_count, o_first) in partners {
                 // The pair's prefix multiset overlap grows by one exactly
                 // when the partner's prefix already holds ≥ occ copies of
                 // this token (its posting counts them); this keeps
@@ -1185,7 +1239,15 @@ fn topk_join_in_range(
                     }
                     let ra = inst.records_a.record(a);
                     let rb = inst.records_b.record(b);
+                    // The cost model counts whole records, whatever the
+                    // merge below skips (see `JoinScratch::scored_tokens`).
                     n_scored_tokens += (ra.len() + rb.len()) as u64;
+                    // Positional verification: the pair just reached
+                    // `q` common tokens, and those are exactly the
+                    // overlap of our prefix (ending at the `occ`-th copy
+                    // of `tok`) and the partner's prefix cut after its
+                    // own `occ`-th copy — so only the suffixes merge.
+                    let split = meet_split(side, p + 1, (o_first + occ) as usize, params.q);
                     // Gate one ulp below the current k-th score (see
                     // `TopKList::gate`): a refuted attempt has
                     // `score < threshold` and could never enter the
@@ -1201,9 +1263,10 @@ fn topk_join_in_range(
                             gate = gate.max(f64::next_down(thr));
                         }
                     }
-                    let accepted = match scorer.score_above(a, b, ra, rb, gate) {
+                    let accepted = match scorer.score_above(a, b, ra, rb, split, gate) {
                         ScoreOutcome::Scored(s) => {
                             n_scored += 1;
+                            n_verify_tokens += split.suffix_tokens(ra.len(), rb.len()) as u64;
                             k_list.insert(s, key);
                             Some(s)
                         }
@@ -1214,6 +1277,7 @@ fn topk_join_in_range(
                         }
                         ScoreOutcome::Refuted => {
                             n_aborted += 1;
+                            n_verify_tokens += split.suffix_tokens(ra.len(), rb.len()) as u64;
                             None
                         }
                     };
@@ -1233,7 +1297,7 @@ fn topk_join_in_range(
                 postings[side].touched.push(tok);
             }
             slot[side][idx] = list.len() as u32;
-            list.push((ev.rec, 1));
+            list.push((ev.rec, 1, p as u32));
         } else {
             let s = slot[side][idx] as usize;
             postings[side].lists[tok as usize][s].1 += 1;
@@ -1270,6 +1334,7 @@ fn topk_join_in_range(
     mc_obs::counter!("mc.core.ssj.candidates").add(n_discovered);
     mc_obs::counter!("mc.core.ssj.scored").add(n_scored);
     mc_obs::counter!("mc.core.ssj.merge_aborts").add(n_aborted);
+    mc_obs::counter!("mc.core.ssj.verify_tokens").add(n_verify_tokens);
     mc_obs::counter!("mc.core.ssj.scored_saved").add(n_aborted + n_cached);
     mc_obs::counter!("mc.core.ssj.killed_skipped").add(n_killed_skipped);
     mc_obs::counter!("mc.core.ssj.bound_pruned").add(n_bound_pruned);
@@ -1543,6 +1608,7 @@ pub fn topk_semi_join(
     let mut n_cached = 0u64;
     let mut n_aborted = 0u64;
     let mut n_scored_tokens = 0u64;
+    let mut n_verify_tokens = 0u64;
     let mut n_killed_skipped = 0u64;
     let mut n_bound_pruned = 0u64;
     let no_killed = inst.killed.is_empty();
@@ -1572,7 +1638,7 @@ pub fn topk_semi_join(
                     postings[post].touched.push(tok);
                 }
                 slot_idx = list.len();
-                list.push((r, 1));
+                list.push((r, 1, p as u32));
             } else {
                 postings[post].lists[tok as usize][slot_idx].1 += 1;
             }
@@ -1640,7 +1706,7 @@ pub fn topk_semi_join(
             // once per token, so inserts inside the partner loop make it
             // conservative (too low), never unsound.
             let len_gate = k_list.gate();
-            for &(o, o_count) in partners {
+            for &(o, o_count, o_first) in partners {
                 // Same multiset accounting as the event loop: this
                 // incidence advances the pair iff the partner's prefix
                 // holds at least `occ` copies.
@@ -1686,9 +1752,14 @@ pub fn topk_semi_join(
                 let ra = inst.records_a.record(a);
                 let rb = inst.records_b.record(b);
                 n_scored_tokens += (ra.len() + rb.len()) as u64;
-                match scorer.score_above(a, b, ra, rb, k_list.gate()) {
+                // Positional verification, as in the event loop: the
+                // probe prefix ends at its `occ`-th copy of `tok`, the
+                // post record's is cut after its own `occ`-th copy.
+                let split = meet_split(1 - post, p + 1, (o_first + occ) as usize, params.q);
+                match scorer.score_above(a, b, ra, rb, split, k_list.gate()) {
                     ScoreOutcome::Scored(s) => {
                         n_scored += 1;
+                        n_verify_tokens += split.suffix_tokens(ra.len(), rb.len()) as u64;
                         k_list.insert(s, key);
                     }
                     ScoreOutcome::Cached(s) => {
@@ -1697,6 +1768,7 @@ pub fn topk_semi_join(
                     }
                     ScoreOutcome::Refuted => {
                         n_aborted += 1;
+                        n_verify_tokens += split.suffix_tokens(ra.len(), rb.len()) as u64;
                     }
                 }
             }
@@ -1711,6 +1783,7 @@ pub fn topk_semi_join(
     mc_obs::counter!("mc.core.ssj.candidates").add(n_discovered);
     mc_obs::counter!("mc.core.ssj.scored").add(n_scored);
     mc_obs::counter!("mc.core.ssj.merge_aborts").add(n_aborted);
+    mc_obs::counter!("mc.core.ssj.verify_tokens").add(n_verify_tokens);
     mc_obs::counter!("mc.core.ssj.scored_saved").add(n_aborted + n_cached);
     mc_obs::counter!("mc.core.ssj.killed_skipped").add(n_killed_skipped);
     mc_obs::counter!("mc.core.ssj.bound_pruned").add(n_bound_pruned);

@@ -36,5 +36,6 @@ pub use jaro::{jaro, jaro_winkler, jaro_winkler_above};
 pub use measures::{
     bounded_edit_distance, edit_distance, edit_similarity, multiset_overlap, overlap_bound_key,
     overlap_with_bound, required_overlap, required_overlap_keyed, within_edit_distance, SetMeasure,
+    Split,
 };
 pub use tokenize::{qgram_tokens, word_tokens, Tokenizer};

@@ -118,6 +118,60 @@ pub fn overlap_with_bound(a: &[u32], b: &[u32], o_min: usize) -> Option<usize> {
     (o >= o_min).then_some(o)
 }
 
+/// Where a candidate pair's records split into an already-counted prefix
+/// and a suffix still to verify.
+///
+/// The top-k join learns a pair's prefix overlap as its prefixes meet:
+/// when an incidence on token `tok` brings the pair to `common` shared
+/// tokens, `a[..ia]` and `b[..ib]` each end right after their `occ`-th
+/// copy of `tok` and `common` is their exact multiset overlap. Both
+/// prefixes hold only tokens `≤ tok` and both suffixes only tokens
+/// `≥ tok`, with the same number of `tok` copies on each prefix side, so
+/// the multiset overlap splits exactly:
+///
+/// `|a ∩ b| = common + |a[ia..] ∩ b[ib..]|`
+///
+/// and verification only merges the suffixes. [`Split::WHOLE`] (`0, 0,
+/// 0`) is the plain whole-record merge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Split {
+    /// Start of `a`'s unverified suffix.
+    pub ia: usize,
+    /// Start of `b`'s unverified suffix.
+    pub ib: usize,
+    /// Exact multiset overlap of `a[..ia]` and `b[..ib]`.
+    pub common: usize,
+}
+
+impl Split {
+    /// No known prefix: merge the whole records.
+    pub const WHOLE: Split = Split {
+        ia: 0,
+        ib: 0,
+        common: 0,
+    };
+
+    /// [`overlap_with_bound`] of the whole records, merging only the
+    /// suffixes: `Some(o)` with `o` the exact overlap **iff** `o >=
+    /// o_min`. When `common + min(suffix lengths) < o_min` the length
+    /// filter refutes the pair with no merge work.
+    #[inline]
+    pub fn overlap_with_bound(self, a: &[u32], b: &[u32], o_min: usize) -> Option<usize> {
+        let o = overlap_with_bound(
+            &a[self.ia..],
+            &b[self.ib..],
+            o_min.saturating_sub(self.common),
+        )?;
+        Some(self.common + o)
+    }
+
+    /// Tokens the suffix merge is handed: `|a| − ia + |b| − ib`.
+    #[inline]
+    pub fn suffix_tokens(self, la: usize, lb: usize) -> usize {
+        la - self.ia + lb - self.ib
+    }
+}
+
 /// The minimal integer overlap `o` with
 /// `measure.from_overlap(o, la, lb) > t` (**strictly**), or
 /// `min(la, lb) + 1` when no reachable overlap beats `t` — the
@@ -277,12 +331,14 @@ impl SetMeasure {
     /// (strictly), with `s` bit-identical to [`SetMeasure::score`]; `None`
     /// means the score is provably `<= t`, established with as little
     /// merge work as possible ([`required_overlap`] length filter, then
-    /// [`overlap_with_bound`]). `t < 0` never refutes, so
-    /// `score_above(a, b, -1.0)` is an exact scoring path.
+    /// [`Split::overlap_with_bound`] over the suffixes `split` leaves).
+    /// `t < 0` never refutes, so `score_above(a, b, Split::WHOLE, -1.0)`
+    /// is an exact scoring path. The split never changes the outcome or
+    /// the score, only how many tokens the merge walks.
     #[inline]
-    pub fn score_above(self, a: &[u32], b: &[u32], t: f64) -> Option<f64> {
+    pub fn score_above(self, a: &[u32], b: &[u32], split: Split, t: f64) -> Option<f64> {
         let o_min = required_overlap(self, t, a.len(), b.len());
-        let o = overlap_with_bound(a, b, o_min)?;
+        let o = split.overlap_with_bound(a, b, o_min)?;
         Some(self.from_overlap(o, a.len(), b.len()))
     }
 
@@ -591,7 +647,7 @@ mod tests {
                 for b in recs {
                     let s = m.score(a, b);
                     for t in [-1.0, 0.0, 0.2, s, 0.99, 1.0] {
-                        match m.score_above(a, b, t) {
+                        match m.score_above(a, b, Split::WHOLE, t) {
                             Some(got) => {
                                 assert!(s > t, "{m:?} a={a:?} b={b:?} t={t}");
                                 assert_eq!(got.to_bits(), s.to_bits());

@@ -2,14 +2,15 @@
 //! substrate, using seeded random records (deterministic across runs).
 
 use matchcatcher::ssj::{
-    brute_force_topk, topk_join, topk_join_with_scratch, ExactScorer, JoinScratch, SsjInstance,
+    brute_force_topk, topk_join, topk_join_sharded, topk_join_with_scratch, topk_semi_join,
+    CachedExactScorer, ExactScorer, JoinScratch, PairScorer, ScoreCache, ScoreOutcome, SsjInstance,
     SsjParams, TopKList,
 };
 use mc_strsim::arena::RecordArena;
 use mc_strsim::join::{nested_loop_join, sim_join};
 use mc_strsim::measures::{
     edit_distance, multiset_overlap, overlap_with_bound, required_overlap, within_edit_distance,
-    SetMeasure,
+    SetMeasure, Split,
 };
 use mc_table::PairSet;
 use rand::rngs::StdRng;
@@ -697,6 +698,206 @@ fn measures_are_bounded_and_symmetric() {
                     (m.score(&a, &a) - 1.0).abs() < 1e-12,
                     "case {case} {m:?} self-score"
                 );
+            }
+        }
+    }
+}
+
+/// A random sorted multiset over a tiny universe: most tokens repeat, so
+/// the `occ`-th-copy bookkeeping behind positional verification is
+/// exercised on every record.
+fn duplicate_heavy_record(rng: &mut StdRng, max_len: usize, universe: u32) -> Vec<u32> {
+    let len = rng.random_range(0..=max_len);
+    let mut v: Vec<u32> = (0..len).map(|_| rng.random_range(0..universe)).collect();
+    v.sort_unstable();
+    v
+}
+
+/// Every split the join loops can hand a scorer for `(a, b)`: an
+/// incidence on the `occ`-th copy of a shared token `tok` ends the event
+/// record's prefix right after that copy, `common` is the overlap of the
+/// two prefixes cut after their `occ`-th copies, and the partner's suffix
+/// starts at `partner_start(first, occ)` with `first` its index of the
+/// first copy of `tok`. Both orientations (event on A, event on B) are
+/// listed.
+fn meeting_splits(a: &[u32], b: &[u32], partner_start: fn(usize, usize) -> usize) -> Vec<Split> {
+    let first = |r: &[u32], t: u32| r.partition_point(|&x| x < t);
+    let copies = |r: &[u32], t: u32| r.partition_point(|&x| x <= t) - first(r, t);
+    let mut tokens: Vec<u32> = a.to_vec();
+    tokens.dedup();
+    let mut out = Vec::new();
+    for tok in tokens {
+        let (fa, fb) = (first(a, tok), first(b, tok));
+        for occ in 1..=copies(a, tok).min(copies(b, tok)) {
+            let common = multiset_overlap(&a[..fa + occ], &b[..fb + occ]);
+            // Event on A, partner B.
+            out.push(Split {
+                ia: fa + occ,
+                ib: partner_start(fb, occ),
+                common,
+            });
+            // Event on B, partner A.
+            out.push(Split {
+                ia: partner_start(fa, occ),
+                ib: fb + occ,
+                common,
+            });
+        }
+    }
+    out
+}
+
+/// An outcome as comparable bits: the variant tag and the score's bit
+/// pattern (bit-identity is the contract, not approximate agreement).
+fn outcome_bits(o: ScoreOutcome) -> (u8, u64) {
+    match o {
+        ScoreOutcome::Scored(s) => (0, s.to_bits()),
+        ScoreOutcome::Cached(s) => (1, s.to_bits()),
+        ScoreOutcome::Refuted => (2, 0),
+    }
+}
+
+/// The first case where split-aware `score_above` disagrees with the
+/// whole-record path (outcome or score bits), over duplicate-heavy
+/// records, every meeting split, all four measures, gates
+/// {−1, 0, random, the exact score} and both exact scorers.
+fn first_split_mismatch(partner_start: fn(usize, usize) -> usize) -> Option<String> {
+    let mut rng = StdRng::seed_from_u64(0x5E1F);
+    let cache = ScoreCache::new();
+    for case in 0..CASES * 8 {
+        let a = duplicate_heavy_record(&mut rng, 12, 5);
+        let b = duplicate_heavy_record(&mut rng, 12, 5);
+        let splits = meeting_splits(&a, &b, partner_start);
+        for m in SetMeasure::ALL {
+            let exact = m.score(&a, &b);
+            let gates = [-1.0, 0.0, rng.random_range(0.0f64..1.0), exact];
+            let exact_scorer = ExactScorer(m);
+            let cached_scorer = CachedExactScorer {
+                measure: m,
+                cache: &cache,
+            };
+            let scorers: [&dyn PairScorer; 2] = [&exact_scorer, &cached_scorer];
+            for scorer in scorers {
+                for gate in gates {
+                    let whole = outcome_bits(scorer.score_above(0, 1, &a, &b, Split::WHOLE, gate));
+                    for &split in &splits {
+                        let got = outcome_bits(scorer.score_above(0, 1, &a, &b, split, gate));
+                        if got != whole {
+                            return Some(format!(
+                                "case {case} {m:?} gate={gate} a={a:?} b={b:?} \
+                                 {split:?}: {got:?} vs whole {whole:?}"
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    None
+}
+
+#[test]
+fn split_scoring_is_bit_identical_to_whole_record_scoring() {
+    // The identity behind positional verification: splitting after the
+    // `occ`-th copy of a shared token on both sides and merging only the
+    // suffixes reproduces the whole-record outcome and score exactly.
+    if let Some(mismatch) = first_split_mismatch(|first, occ| first + occ) {
+        panic!("split-aware scoring diverged: {mismatch}");
+    }
+}
+
+#[test]
+fn split_oracle_catches_an_off_by_one_partner_start() {
+    // Fail-first check of the oracle above: starting the partner's
+    // suffix one token early (`first + occ − 1`) re-counts the `occ`-th
+    // copy of the meeting token whenever the event side holds more copies
+    // of it, and the duplicate-heavy records must expose that.
+    assert!(
+        first_split_mismatch(|first, occ| first + occ - 1).is_some(),
+        "an off-by-one partner suffix went unnoticed"
+    );
+}
+
+#[test]
+fn positional_verification_keeps_every_join_exact_on_duplicate_heavy_data() {
+    // Join-level oracle for suffix-only verification: duplicate-heavy
+    // arenas, q ∈ {1, 2, 3}, random killed sets and genuine seeds. The
+    // event loop must equal brute force at q = 1 and the whole-record
+    // reference loop at every q; sharded and semi joins must equal the
+    // event loop — all bit for bit.
+    let mut rng = StdRng::seed_from_u64(0xD0B1E);
+    for case in 0..24 {
+        let gen = |rng: &mut StdRng| -> Vec<Vec<u32>> {
+            let n = rng.random_range(1..16usize);
+            (0..n).map(|_| duplicate_heavy_record(rng, 10, 6)).collect()
+        };
+        let ra = gen(&mut rng);
+        let rb = gen(&mut rng);
+        let killed = random_killed(&mut rng, ra.len(), rb.len());
+        let a = RecordArena::from_records(&ra);
+        let b = RecordArena::from_records(&rb);
+        let inst = SsjInstance {
+            records_a: &a,
+            records_b: &b,
+            killed: &killed,
+        };
+        for m in SetMeasure::ALL {
+            // Seeds carry their distinct pairs' true scores, as a parent
+            // config's re-scored list does.
+            let mut seed: Vec<(f64, u64)> = (0..rng.random_range(0..4usize))
+                .map(|_| {
+                    let x = rng.random_range(0..ra.len()) as u32;
+                    let y = rng.random_range(0..rb.len()) as u32;
+                    (
+                        m.score(&ra[x as usize], &rb[y as usize]),
+                        mc_table::pair_key(x, y),
+                    )
+                })
+                .collect();
+            seed.sort_unstable_by_key(|&(_, p)| p);
+            seed.dedup_by_key(|&mut (_, p)| p);
+            for q in [1usize, 2, 3] {
+                let k = rng.random_range(1..12usize);
+                let params = SsjParams { k, q, measure: m };
+                let label = format!("case {case} {m:?} k={k} q={q}");
+                let join = topk_join(inst, params, &ExactScorer(m), &seed, None).sorted_entries();
+                if q == 1 {
+                    // Genuine seeds never change the canonical top-k.
+                    let brute = brute_force_topk(inst, k, m).sorted_entries();
+                    assert_eq!(join, brute, "{label}: vs brute force");
+                }
+                let reference =
+                    reference::topk_join(&ra, &rb, &killed, params, &ExactScorer(m), &seed);
+                assert_eq!(
+                    join,
+                    reference.sorted_entries(),
+                    "{label}: vs reference loop"
+                );
+                for shards in [1usize, 3] {
+                    let sharded = topk_join_sharded(
+                        inst,
+                        params,
+                        |_| ExactScorer(m),
+                        &seed,
+                        None,
+                        shards,
+                        2,
+                        None,
+                    );
+                    assert_eq!(join, sharded.sorted_entries(), "{label} shards={shards}");
+                }
+                for post_side in [0u8, 1] {
+                    let semi = topk_semi_join(
+                        inst,
+                        params,
+                        &ExactScorer(m),
+                        &seed,
+                        None,
+                        &mut JoinScratch::new(),
+                        post_side,
+                    );
+                    assert_eq!(join, semi.sorted_entries(), "{label} post_side={post_side}");
+                }
             }
         }
     }
